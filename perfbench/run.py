@@ -5,9 +5,11 @@
 Run it from the root of a checkout; the library is imported from ./src.
 With --trace 0 the run sets up the workload several times, then repeats
 the timed operation for at least --seconds, and reports the end-to-end
-metrics. With --trace 1 it sets up once under the tracer, then alternates
-untraced and traced operations for at least --seconds, and reports the
-per-module metrics and the tracing overhead. Either way it checks every
+metrics, their times restated at a reference host speed (see hostspeed.py;
+the raw wall figures are printed too). With --trace 1 it sets up once
+under the tracer, then alternates untraced and traced operations for at
+least --seconds, and reports the per-module metrics and the tracing
+overhead. Either way it checks every
 operation's output; the last line of standard output is one JSON object
 with the keys correct, attempted, failed and metrics, and the exit code is
 0 only when nothing failed. BENCHMARK.json at the checkout root names the
@@ -36,6 +38,7 @@ from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 SETUP_REPEATS = 3
+HASH_SEED = "0"
 OUT_DIR = ROOT / "perfbench_out"
 
 
@@ -70,6 +73,17 @@ def _blas_threads() -> int | None:
     return None
 
 
+def _fix_hash_seed() -> None:
+    """Re-execute this process with a fixed PYTHONHASHSEED. String hashing is
+    randomised per process, and with it how the library's dicts and sets lie
+    in memory: that alone moved the median run_s of arm2-warm by up to 15%
+    from one process to the next, where a fixed seed keeps it within 4%.
+    exec replaces the process, so no child is left behind."""
+    if os.environ.get("PYTHONHASHSEED") != HASH_SEED:
+        os.environ["PYTHONHASHSEED"] = HASH_SEED
+        os.execv(sys.executable, [sys.executable, *sys.argv])
+
+
 def environment() -> dict:
     import numpy
 
@@ -83,6 +97,7 @@ def environment() -> dict:
         "blas_version": blas.get("version"),
         "blas_threads": _blas_threads(),
         "blas_threads_env": os.environ["OPENBLAS_NUM_THREADS"],
+        "python_hash_seed": os.environ.get("PYTHONHASHSEED"),
     }
 
 
@@ -97,6 +112,18 @@ def tail_percentile(values: list[float]) -> tuple[int, float]:
         if n - rank >= 10:
             best = (q, xs[rank - 1])
     return best
+
+
+def per_ego_median(latencies: list[float], repeats: int) -> list[float]:
+    """Each ego's latency: the median of its calls, one per operation.
+    latencies lists every operation's calls in turn, egos in the same order
+    in each. A predict call of a few milliseconds is now and then slowed
+    several-fold by a host hiccup or a garbage collection that lands in
+    it; the median over repeats keeps such one-off delays out of the tail."""
+    n, rest = divmod(len(latencies), repeats)
+    if rest:
+        raise ValueError(f"{len(latencies)} predict calls over {repeats} operations")
+    return [statistics.median(latencies[e::n]) for e in range(n)]
 
 
 def _repeat(seconds: float, step, problems: list[str]) -> tuple[int, int]:
@@ -123,45 +150,77 @@ def _repeat(seconds: float, step, problems: list[str]) -> tuple[int, int]:
 
 
 def measure_end_to_end(wl, seed: int, seconds: float) -> dict:
+    """Set up SETUP_REPEATS times, then repeat the timed operation. Times
+    are restated at the reference host speed (hostspeed.py); the raw wall
+    figures go into the report's "wall" entry."""
+    import hostspeed
     import workloads
 
     problems: list[str] = []
-    setup_times, digests = [], set()
-    for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
-        ctx = wl.setup(seed)
-        setup_times.append(time.perf_counter() - t0)
-        digests.add(wl.fingerprint(ctx))
-    if len(digests) != 1:
-        problems.append("repeated set-ups produced different inputs or models")
-    gate = workloads.Gate(ctx, problems)
+    setup_spans, digests = [], set()
     results = []
+    sampler = hostspeed.Sampler()
+    sampler.start()
+    try:
+        for _ in range(SETUP_REPEATS):
+            t0 = time.perf_counter()
+            ctx = wl.setup(seed)
+            setup_spans.append((t0, time.perf_counter()))
+            digests.add(wl.fingerprint(ctx))
+        if len(digests) != 1:
+            problems.append("repeated set-ups produced different inputs or models")
+        gate = workloads.Gate(ctx, problems)
 
-    def step():
-        results.append(wl.run_op(ctx))
-        return 1, gate.failed(results[-1])
+        def step():
+            results.append(wl.run_op(ctx))
+            return 1, gate.failed(results[-1])
 
-    attempted, failed = _repeat(seconds, step, problems)
+        attempted, failed = _repeat(seconds, step, problems)
+    finally:
+        sampler.stop()
+
+    def both(spans, scale=1.0):
+        """Each span at the reference speed, and its wall time less probes."""
+        return (
+            [scale * sampler.seconds(a, b) for a, b in spans],
+            [scale * sampler.wall_seconds(a, b) for a, b in spans],
+        )
+
+    setup_times, setup_wall = both(setup_spans)
+    op_times, op_wall = both([(r.start, r.end) for r in results])
+    calls = [s for r in results for s in r.predict_spans]
+    latencies, latencies_wall = both(calls, 1000.0)
     report = {
         "problems": problems,
         "attempted": attempted,
         "failed": failed,
         "setup_times": setup_times,
-        "op_times": [r.seconds for r in results],
+        "op_times": op_times,
+        "host_slowdown": hostspeed.summary(sampler.slowdown()),
     }
-    latencies = [ms for r in results for ms in r.predict_ms]
     if latencies:
-        q, tail = tail_percentile(latencies)
+        # every operation scores each test ego once, in the same order
+        ego_ms = per_ego_median(latencies, len(results))
+        ego_ms_wall = per_ego_median(latencies_wall, len(results))
+        q, tail = tail_percentile(ego_ms)
         report["tail_percentile"] = q
-        report["predict_samples"] = len(latencies)
+        report["predict_samples"] = len(ego_ms)
+        report["predict_repeats"] = len(results)
         report["auc"] = results[0].auc
         report["metrics"] = {
             "setup_s": statistics.median(setup_times),
-            "run_s": statistics.median(r.seconds for r in results),
-            "predict_ms.p50": statistics.median(latencies),
+            "run_s": statistics.median(op_times),
+            "predict_ms.p50": statistics.median(ego_ms),
             "predict_ms.tail": tail,
             "egos_per_s": 1000.0 * len(latencies) / sum(latencies),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        }
+        report["wall"] = {
+            "setup_s": statistics.median(setup_wall),
+            "run_s": statistics.median(op_wall),
+            "predict_ms.p50": statistics.median(ego_ms_wall),
+            "predict_ms.tail": tail_percentile(ego_ms_wall)[1],
+            "egos_per_s": 1000.0 * len(latencies_wall) / sum(latencies_wall),
         }
     return report
 
@@ -277,9 +336,17 @@ def main(argv=None) -> int:
     if not args.trace:
         print(
             f"{'  predict_ms.tail is p' + str(report['tail_percentile']):44s} "
-            f"{report['predict_samples']:>14d} samples"
+            f"{report['predict_samples']:>14d} egos, "
+            f"each the median of {report['predict_repeats']} calls"
         )
         print(f"{'auc':44s} {report['auc']:>14.6g} ratio")
+        slow = report["host_slowdown"]
+        print(
+            f"host slow-down over the reference: median {slow['median']:.3f}, "
+            f"range {slow['min']:.3f}-{slow['max']:.3f} over {slow['probes']} probes"
+        )
+        for name, value in report["wall"].items():
+            print(f"{'  wall ' + name:44s} {value:>14.6g}")
     print(f"{'failed_frac':44s} {failed_frac:>14.6g} ratio")
     print(f"details in {out.relative_to(ROOT)}")
     print(
@@ -296,4 +363,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    _fix_hash_seed()
     sys.exit(main())

@@ -18,6 +18,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import hostspeed
 import run
 
 run._import_library()
@@ -154,6 +155,19 @@ def check_workload(name: str, spec: dict, seed: int = 3) -> None:
         expect(layer["training.predict.variants_per_call"] == copies, f"{name}: 1 + Q variants per predict")
 
 
+def check_hostspeed() -> None:
+    """Three probes at twice the reference time: every stretch between them
+    is halved, and the probes themselves are left out."""
+    sampler = hostspeed.Sampler()
+    d = 2 * hostspeed.REFERENCE_PROBE_S
+    sampler.starts = [1.0, 2.0, 3.0]
+    sampler.ends = [t + d for t in sampler.starts]
+    wall = 3.0 - 3 * d
+    expect(abs(sampler.wall_seconds(0.5, 3.5) - wall) < 1e-12, "hostspeed: probe time is left out")
+    expect(abs(sampler.seconds(0.5, 3.5) - wall / 2) < 1e-12, "hostspeed: a 2x slow-down halves the time")
+    expect(abs(sampler.seconds(1.5, 1.75) - 0.125) < 1e-12, "hostspeed: a stretch between probes scales")
+
+
 def check_bare_directory() -> None:
     """The command must fail without the library next to it."""
     bare = run.OUT_DIR / "bare"
@@ -181,6 +195,7 @@ def main() -> int:
     )
     expect(run.tail_percentile(list(range(60)))[0] == 83, "tail of 60 samples is p83")
     expect(run.tail_percentile(list(range(5))) == (100, 4), "tail of 5 samples is the maximum")
+    check_hostspeed()
     for name in workloads.WORKLOADS:
         check_workload(name, spec)
     check_bare_directory()
