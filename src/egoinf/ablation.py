@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .features import FeatureStore
+from .features import FeatureStore, feature_width
 from .graphs import Dataset
 from .metrics import auc, f1
 from .training import (
@@ -122,8 +122,7 @@ def run_arm(
     if abl.train_aug or abl.test_aug:
         vgae = pretrain_augmenter(train_samples, cfg_run, store, seed)
 
-    width = 2 + cfg.deepwalk.dim
-    model = JointModel.create(cfg_run, feature_width=width, seed=seed)
+    model = JointModel.create(cfg_run, feature_width=feature_width(cfg.deepwalk), seed=seed)
     train_joint(model, train_samples, cfg_run, abl, vgae=vgae, store=store)
 
     scores = [predict(model, s, abl, vgae, cfg_run, store) for s in eval_samples]

@@ -24,7 +24,7 @@ from .autoenc import VgaeModel
 from .cascade import CascadeConfig, generate_dataset
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, DivergenceError, NumericsError
-from .features import DeepWalkConfig, FeatureStore
+from .features import DeepWalkConfig, FeatureStore, feature_width
 from .graphs import load_dataset, save_dataset
 from .metrics import auc, f1
 from .training import (
@@ -219,7 +219,7 @@ def do_train(config: dict, out: Path) -> None:
         vgae = pretrain_augmenter(train_samples, cfg_run, store, cfg.seed)
         save_vgae(out / "vgae.ckpt", vgae, cfg)
 
-    model = JointModel.create(cfg_run, feature_width=2 + cfg.deepwalk.dim, seed=cfg.seed)
+    model = JointModel.create(cfg_run, feature_width=feature_width(cfg.deepwalk), seed=cfg.seed)
     _, trace = train_joint(model, train_samples, cfg_run, abl, vgae=vgae, store=store)
     save_joint_model(out / "model.ckpt", model, cfg, arm)
     _write_jsonl(out / "trace.jsonl", trace)
@@ -339,7 +339,7 @@ def do_sweep(config: dict, out: Path) -> None:
                 raise ConfigError(f"sweep mode must be count or threshold, got {mode}")
             cfg_run = run_config_with_seed(cfg_point, seed)
             pct = _augmentation_edge_stats(train_samples, vgae, cfg_run.aug, store)
-            model = JointModel.create(cfg_run, feature_width=2 + cfg.deepwalk.dim, seed=seed)
+            model = JointModel.create(cfg_run, feature_width=feature_width(cfg.deepwalk), seed=seed)
             train_joint(model, train_samples, cfg_run, abl, vgae=vgae, store=store)
             scores = [predict(model, s, abl, vgae, cfg_run, store) for s in test_samples]
             labels = [s.label for s in test_samples]

@@ -59,6 +59,12 @@ class DeepWalkConfig:
     lr: float = 0.05
 
 
+def feature_width(dw: DeepWalkConfig) -> int:
+    """Per-node feature width under ``dw``: FeatureBundle.width before any
+    bundle exists."""
+    return 2 + dw.dim
+
+
 class FeatureStore:
     """Computes and caches FeatureBundles.
 

@@ -136,10 +136,15 @@ def validate_dataset(d: Dataset) -> None:
     sizes = {s.n for s in d.samples}
     if len(sizes) > 1:
         raise DataError(f"samples disagree on n: {sorted(sizes)}")
+    ids: set[str] = set()
     for s in d.samples:
         problems = validate_sample(s)
         if problems:
             raise DataError(f"sample {s.sample_id}: {'; '.join(problems)}")
+        # features and random streams are keyed by sample id
+        if s.sample_id in ids:
+            raise DataError(f"duplicate sample id {s.sample_id!r}")
+        ids.add(s.sample_id)
     seen: set[int] = set()
     for name, idx in d.splits.items():
         for i in idx:

@@ -25,7 +25,7 @@ from .autoenc import (
     train_gae,
 )
 from .errors import ConfigError, DivergenceError, NumericsError
-from .features import DeepWalkConfig, FeatureBundle, FeatureStore
+from .features import DeepWalkConfig, FeatureBundle, FeatureStore, feature_width
 from .graphs import EgoSample
 from .layers import (
     PredictionNet,
@@ -321,9 +321,11 @@ def pretrain_augmenter(
     """Train the variational augmenter once over the training graphs."""
     from .autoenc import train_vgae
 
-    width = 2 + cfg.deepwalk.dim
     vgae = VgaeModel.create(
-        width, cfg.model.gae_hidden, cfg.model.embed_dim, stream(seed, "init", "vgae")
+        feature_width(cfg.deepwalk),
+        cfg.model.gae_hidden,
+        cfg.model.embed_dim,
+        stream(seed, "init", "vgae"),
     )
     data = [(store.bundle(s).encoder_input, store.bundle(s).adjacency) for s in samples]
     pre = AutoencTrainConfig(

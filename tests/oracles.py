@@ -83,3 +83,67 @@ def toy_two_cluster_graph():
     a[0, 10] = a[10, 0] = 1.0
     a[5, 15] = a[15, 5] = 1.0
     return a
+
+
+def oracle_skipgram_pairs(walk, window):
+    """(center, context) pairs from a nested loop over center and context
+    positions."""
+    pairs = []
+    for pos, center in enumerate(walk):
+        lo = max(0, pos - window)
+        hi = min(len(walk), pos + window + 1)
+        for other in range(lo, hi):
+            if other != pos:
+                pairs.append((center, walk[other]))
+    return pairs
+
+
+def oracle_skipgram_sgd(w_in, walks, window, negatives, epochs, lr, rng):
+    """Skip-gram with negative sampling over given walks, one scatter per
+    gradient term: the per-pair reference for deepwalk_embed's dense update.
+    Draws negatives, then a permutation, from rng in every epoch."""
+    n, dim = w_in.shape
+    w_in = w_in.copy()
+    w_out = np.zeros((n, dim))
+    pairs = [p for walk in walks for p in oracle_skipgram_pairs(walk, window)]
+    if not pairs:
+        return w_in
+    centers = np.array([p[0] for p in pairs])
+    contexts = np.array([p[1] for p in pairs])
+    counts = np.bincount(np.concatenate([np.array(w) for w in walks]), minlength=n)
+    noise = counts.astype(np.float64) ** 0.75
+    noise /= noise.sum()
+
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+
+    npairs = centers.size
+    batch = max(64, 4 * n)
+    for _ in range(epochs):
+        neg = rng.choice(n, size=(npairs, negatives), p=noise)
+        order = rng.permutation(npairs)
+        for lo in range(0, npairs, batch):
+            sel = order[lo : lo + batch]
+            c, o, ng = centers[sel], contexts[sel], neg[sel]
+            ci = w_in[c]
+            po = w_out[o]
+            gpos = sigmoid((ci * po).sum(axis=1)) - 1.0
+            grad_in = gpos[:, None] * po
+            grad_out = gpos[:, None] * ci
+            no = w_out[ng]
+            gneg = sigmoid(np.einsum("pd,pkd->pk", ci, no))
+            grad_in += np.einsum("pk,pkd->pd", gneg, no)
+            grad_neg = gneg[:, :, None] * ci[:, None, :]
+            acc_in = np.zeros_like(w_in)
+            acc_out = np.zeros_like(w_out)
+            np.add.at(acc_in, c, grad_in)
+            np.add.at(acc_out, o, grad_out)
+            np.add.at(acc_out, ng.reshape(-1), grad_neg.reshape(-1, dim))
+            count_in = np.maximum(np.bincount(c, minlength=n), 1)
+            count_out = np.maximum(
+                np.bincount(o, minlength=n) + np.bincount(ng.reshape(-1), minlength=n),
+                1,
+            )
+            w_in -= lr * acc_in / count_in[:, None]
+            w_out -= lr * acc_out / count_out[:, None]
+    return w_in

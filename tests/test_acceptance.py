@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`. The end-to-end criterion
 (C5) trains on the default synthetic dataset and takes several minutes;
-everything else is fast.
+everything else is fast. C5 carries the `slow` marker, so
+`pytest -m "not slow"` skips it.
 """
 import math
 import time
@@ -376,6 +377,7 @@ def test_c4_augmentation_properties():
     )
 
 
+@pytest.mark.slow
 def test_c5_end_to_end_synthetic(default_dataset):
     t0 = time.time()
     pos = default_dataset.metadata["positives"]

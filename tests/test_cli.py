@@ -202,3 +202,18 @@ def test_dataset_file_error_has_exit_code_3(tmp_path):
         "train", "--data", str(bad), "--out", str(tmp_path / "out"), *FAST_TRAIN_FLAGS
     ])
     assert code == 3
+
+
+def test_duplicate_sample_id_has_exit_code_3(tmp_path, capsys):
+    # a second sample under an existing id would get the first one's features
+    data = tmp_path / "dup.jsonl"
+    record = '{"id":"twin","n":2,"edges":[[0,1]],"ego":0,"state":[1,0],"label":%d}\n'
+    data.write_text(record % 0 + record % 1)
+    (tmp_path / "dup.jsonl.splits.json").write_text(
+        '{"train":[0,1],"valid":[],"test":[]}\n'
+    )
+    code = main([
+        "train", "--data", str(data), "--out", str(tmp_path / "out"), *FAST_TRAIN_FLAGS
+    ])
+    assert code == 3
+    assert "duplicate sample id 'twin'" in capsys.readouterr().err
