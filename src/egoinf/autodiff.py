@@ -4,7 +4,9 @@ Every trainable model in this package is built from the primitives below.
 An operation computes its result eagerly in numpy and records a node
 (inputs + backward rule) on the Tape; ``Tape.backward`` replays the
 records once, in reverse, accumulating gradients. Matrices are always
-2-D float64; scalars are 1x1 matrices.
+2-D float64; scalars are 1x1 matrices. Inside an op numpy may use any
+shape: ``gat_heads`` runs every attention head of a GAT layer as one node
+over (H, n, n) arrays and lays its result out as an (n, H*f) matrix.
 
 Any op whose result contains NaN/Inf raises ``NumericsError`` at record
 time, so divergence is caught where it happens.
@@ -69,6 +71,44 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def attention_weights(
+    hw: np.ndarray, att: np.ndarray, mask: np.ndarray, heads: int, slope: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Graph attention coefficients of all heads at once.
+
+    hw is (n, H*f) with head k's projection in columns k*f:(k+1)*f; att is
+    (2f, H) with head k's source half in rows :f and destination half in
+    rows f: of column k. Head k scores pair (i, j) as
+    leaky_relu(a_src_k . hw_k[i] + a_dst_k . hw_k[j]) and softmaxes each
+    row over the mask=1 entries. Returns alpha (H, n, n), zero where
+    masked, and the (H, n, n) leaky-ReLU slope of every score (1 or slope).
+    """
+    n = hw.shape[0]
+    if att.ndim != 2 or att.shape[1] != heads or att.shape[0] % 2:
+        raise DimensionError(f"attention: att {att.shape} for {heads} heads")
+    fp = att.shape[0] // 2
+    if hw.shape[1] != heads * fp:
+        raise DimensionError(f"attention: features {hw.shape} vs att {att.shape}")
+    keep = np.asarray(mask) != 0
+    if keep.shape != (n, n):
+        raise DimensionError(f"attention: mask {keep.shape} for {n} nodes")
+    if not keep.any(axis=1).all():
+        bad = int(np.flatnonzero(~keep.any(axis=1))[0])
+        raise ConfigError(f"masked softmax: row {bad} fully masked")
+    hw3 = hw.reshape(n, heads, fp).transpose(1, 0, 2)  # (H, n, f)
+    a3 = att.reshape(2, fp, heads).transpose(2, 0, 1)  # (H, 2, f): src, dst
+    fg = a3 @ hw3.transpose(0, 2, 1)  # (H, 2, n): both terms per node
+    scores = fg[:, 0, :, None] + fg[:, 1, None, :]
+    factor = np.where(scores > 0, 1.0, slope)
+    scores *= factor
+    top = np.where(keep, scores, -np.inf).max(axis=2, keepdims=True)
+    # exp of the masked entries' -inf is several times slower than of 0
+    e = np.exp(np.where(keep, scores - top, 0.0))
+    e *= keep
+    e /= e.sum(axis=2, keepdims=True)
+    return e, factor
 
 
 class Tape:
@@ -254,6 +294,41 @@ class Tape:
             return (alpha * (g - dot),)
 
         return self._record(alpha, (a,), bw)
+
+    def gat_heads(
+        self, hw: Tensor, att: Tensor, mask: np.ndarray, heads: int, slope: float
+    ) -> Tensor:
+        """Multi-head graph attention as one node: head k's output
+        alpha_k @ hw_k lands in columns k*f:(k+1)*f of an (n, H*f) result.
+
+        hw and att are laid out as in ``attention_weights``; mask is a
+        constant. Gradients flow to hw and att.
+        """
+        n = hw.rows
+        alpha, factor = attention_weights(hw.values, att.values, mask, heads, slope)
+        fp = att.rows // 2
+        hw3 = hw.values.reshape(n, heads, fp).transpose(1, 0, 2)
+        a3 = att.values.reshape(2, fp, heads).transpose(2, 0, 1)
+
+        def bw(g):
+            g3 = g.reshape(n, heads, fp).transpose(1, 0, 2)
+            d_hw3 = alpha.transpose(0, 2, 1) @ g3
+            # back through the masked softmax and the leaky-ReLU to the
+            # source and destination terms
+            d_s = g3 @ hw3.transpose(0, 2, 1)
+            d_s -= (d_s * alpha).sum(axis=2, keepdims=True)
+            d_s *= alpha
+            d_s *= factor
+            d_fg = np.stack([d_s.sum(axis=2), d_s.sum(axis=1)], axis=1)
+            d_hw3 += d_fg.transpose(0, 2, 1) @ a3
+            d_a3 = d_fg @ hw3
+            return (
+                d_hw3.transpose(1, 0, 2).reshape(n, heads * fp),
+                d_a3.transpose(1, 2, 0).reshape(2 * fp, heads),
+            )
+
+        out = (alpha @ hw3).transpose(1, 0, 2).reshape(n, heads * fp)
+        return self._record(out, (hw, att), bw)
 
     def dropout(self, a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
         """Zero entries with probability p and rescale survivors by 1/(1-p).

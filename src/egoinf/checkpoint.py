@@ -45,31 +45,49 @@ def save_checkpoint(path, matrices: dict[str, np.ndarray], meta: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a checkpoint; any malformed, truncated or non-finite content
+    raises DataError."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
     raw = path.read_bytes()
-    if raw[:4] != MAGIC:
+    off = 0
+
+    def take(size: int, what: str) -> bytes:
+        nonlocal off
+        if size > len(raw) - off:
+            raise DataError(f"{path}: truncated checkpoint (reading {what})")
+        off += size
+        return raw[off - size : off]
+
+    if take(4, "magic") != MAGIC:
         raise DataError(f"{path}: not a checkpoint file (bad magic)")
-    (version,) = struct.unpack_from("<I", raw, 4)
+    (version,) = struct.unpack("<I", take(4, "version"))
     if version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    (mlen,) = struct.unpack_from("<I", raw, 8)
-    off = 12
-    meta = json.loads(raw[off : off + mlen].decode("utf-8"))
-    off += mlen
-    (count,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    (mlen,) = struct.unpack("<I", take(4, "metadata length"))
+    try:
+        meta = json.loads(take(mlen, "metadata").decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise DataError(f"{path}: malformed checkpoint metadata: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: checkpoint metadata is not an object")
+    (count,) = struct.unpack("<I", take(4, "matrix count"))
     matrices: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off : off + nlen].decode("utf-8")
-        off += nlen
-        rows, cols = struct.unpack_from("<II", raw, off)
-        off += 8
-        size = rows * cols * 8
-        arr = np.frombuffer(raw[off : off + size], dtype="<f8").reshape(rows, cols)
-        off += size
-        matrices[name] = arr.copy()
+        (nlen,) = struct.unpack("<H", take(2, "name length"))
+        try:
+            name = take(nlen, "name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: malformed matrix name: {exc}") from exc
+        if name in matrices:
+            raise DataError(f"{path}: matrix '{name}' appears twice")
+        rows, cols = struct.unpack("<II", take(8, f"shape of '{name}'"))
+        data = take(rows * cols * 8, f"data of '{name}'")
+        arr = np.frombuffer(data, dtype="<f8").reshape(rows, cols).astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: matrix '{name}' has non-finite entries")
+        matrices[name] = arr
+    if off != len(raw):
+        raise DataError(f"{path}: {len(raw) - off} trailing bytes after the last matrix")
     return matrices, meta

@@ -149,8 +149,12 @@ def load_joint_model(path: Path) -> tuple[JointModel, TrainConfig, int]:
     matrices, meta = load_checkpoint(path)
     if meta.get("kind") != "joint":
         raise DataError(f"{path}: not a joint model checkpoint")
-    cfg = train_config_from_dict(meta["train"])
-    model = JointModel.create(cfg, feature_width=meta["feature_width"], seed=cfg.seed)
+    try:
+        cfg = train_config_from_dict(meta["train"])
+        model = JointModel.create(cfg, feature_width=meta["feature_width"], seed=cfg.seed)
+        arm = AblationConfig.from_arm(meta["arm"]).arm_id
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataError(f"{path}: bad model configuration in checkpoint: {exc}") from exc
     params = model.parameters(include_gae=True)
     if set(params) != set(matrices):
         raise DataError(f"{path}: parameter names do not match the configuration")
@@ -158,7 +162,7 @@ def load_joint_model(path: Path) -> tuple[JointModel, TrainConfig, int]:
         if params[name].shape != arr.shape:
             raise DataError(f"{path}: shape mismatch for '{name}'")
         params[name][...] = arr
-    return model, cfg, int(meta["arm"])
+    return model, cfg, arm
 
 
 def save_vgae(path: Path, vgae: VgaeModel, cfg: TrainConfig) -> None:
@@ -177,9 +181,18 @@ def load_vgae(path: Path) -> VgaeModel:
     matrices, meta = load_checkpoint(path)
     if meta.get("kind") != "vgae":
         raise DataError(f"{path}: not an augmenter checkpoint")
-    return VgaeModel(
-        w0=matrices["w0"], w1_mu=matrices["w1_mu"], w1_logvar=matrices["w1_logvar"]
-    )
+    dims = [meta.get(k) for k in ("in_width", "hidden", "embed_dim")]
+    if not all(type(v) is int and v > 0 for v in dims):
+        raise DataError(f"{path}: in_width, hidden and embed_dim must be positive integers")
+    in_width, hidden, embed_dim = dims
+    expected = {
+        "w0": (in_width, hidden),
+        "w1_mu": (hidden, embed_dim),
+        "w1_logvar": (hidden, embed_dim),
+    }
+    if {name: m.shape for name, m in matrices.items()} != expected:
+        raise DataError(f"{path}: augmenter matrices do not match the metadata {expected}")
+    return VgaeModel(**matrices)
 
 
 # -- command implementations (callable from rerun) ---------------------------

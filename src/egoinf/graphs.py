@@ -148,11 +148,23 @@ def validate_dataset(d: Dataset) -> None:
     seen: set[int] = set()
     for name, idx in d.splits.items():
         for i in idx:
+            if not _is_int(i):
+                raise DataError(f"split '{name}' index {i!r} is not an integer")
             if not (0 <= i < len(d.samples)):
                 raise DataError(f"split '{name}' index {i} out of range")
             if i in seen:
                 raise DataError(f"split index {i} appears in more than one split")
             seen.add(i)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _int_list(values, what: str) -> list[int]:
+    if not isinstance(values, list) or not all(_is_int(v) for v in values):
+        raise DataError(f"{what} must be a list of integers")
+    return values
 
 
 def _splits_path(path) -> Path:
@@ -187,7 +199,10 @@ def load_dataset(path) -> Dataset:
     if not path.exists():
         raise DataError(f"dataset not found: {path}")
     samples: list[EgoSample] = []
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -196,19 +211,26 @@ def load_dataset(path) -> Dataset:
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: parse error on line {lineno}: {exc}") from exc
         try:
-            n = int(rec["n"])
             sid = str(rec["id"])
+            where = f"{path}: sample {sid} (line {lineno})"
+            n, ego, label = rec["n"], rec["ego"], rec["label"]
+            if not (_is_int(n) and _is_int(ego) and _is_int(label)):
+                raise DataError(f"{where}: n, ego and label must be integers")
             edges = rec["edges"]
-            for i, j in edges:
-                if not (0 <= i < j < n):
-                    raise DataError(
-                        f"{path}: sample {sid}: bad edge [{i},{j}] (need 0 <= i < j < n)"
-                    )
+            if not isinstance(edges, list):
+                raise DataError(f"{where}: edges must be a list")
+            for e in edges:
+                _int_list(e, f"{where}: edge {e!r}")
+                if len(e) != 2 or not (0 <= e[0] < e[1] < n):
+                    raise DataError(f"{where}: bad edge {e} (need [i, j], 0 <= i < j < n)")
+            state = _int_list(rec["state"], f"{where}: state")
+            if any(v not in (0, 1) for v in state):
+                raise DataError(f"{where}: state entries outside {{0,1}}")
             sample = EgoSample(
                 graph=UndirectedGraph.from_edges(n, edges),
-                ego=int(rec["ego"]),
-                influence_state=np.asarray(rec["state"], dtype=np.int8),
-                label=int(rec["label"]),
+                ego=ego,
+                influence_state=np.asarray(state, dtype=np.int8),
+                label=label,
                 sample_id=sid,
             )
         except DataError:
@@ -224,8 +246,16 @@ def load_dataset(path) -> Dataset:
     metadata: dict[str, Any] = {}
     sp = _splits_path(path)
     if sp.exists():
-        side = json.loads(sp.read_text(encoding="utf-8"))
-        splits = {name: list(side.get(name, [])) for name in SPLIT_NAMES}
+        try:
+            side = json.loads(sp.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raise DataError(f"{sp}: malformed splits file: {exc}") from exc
+        if not isinstance(side, dict) or not isinstance(side.get("metadata", {}), dict):
+            raise DataError(f"{sp}: expected an object with a metadata object")
+        splits = {
+            name: _int_list(side.get(name, []), f"{sp}: split '{name}'")
+            for name in SPLIT_NAMES
+        }
         metadata = side.get("metadata", {})
     d = Dataset(samples=samples, splits=splits, metadata=metadata)
     validate_dataset(d)

@@ -3,6 +3,11 @@
 All forwards run on a Tape so the classification loss differentiates
 end to end. Layers are bias-free parameter holders; weights are plain
 fp64 arrays updated in place by the optimizer between tapes.
+
+A GAT layer records a constant number of nodes plus one leaf per head
+parameter: the per-head weights and attention vectors are concatenated
+on the tape, projected with one matmul and handed to ``Tape.gat_heads``,
+which computes every head at once.
 """
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, attention_weights
 from .errors import ConfigError, DimensionError
 
 LEAKY_SLOPE = 0.2  # negative slope inside attention scores
@@ -67,8 +72,9 @@ class GatLayer:
 
     Each head holds a projection (f_in, f_out) and an attention vector of
     length 2*f_out split into source and destination halves. Hidden layers
-    concatenate head outputs; the output layer averages them before the
-    activation so the width stays f_out.
+    concatenate head outputs; the output layer averages them (one matmul
+    against stacked identities) before the activation so the width stays
+    f_out.
     """
 
     weights: list[np.ndarray]
@@ -112,55 +118,41 @@ def _attention_mask(adj: np.ndarray) -> np.ndarray:
     return np.asarray(adj, dtype=np.float64) + np.eye(adj.shape[0])
 
 
-def _gat_head(tape: Tape, layer: GatLayer, k: int, h: Tensor, mask: np.ndarray):
-    """Per-head attention matrix and projected features."""
-    n = h.rows
-    w = tape.leaf(layer.weights[k])
-    a = tape.leaf(layer.att[k])
-    fp = layer.f_out
-    hw = tape.matmul(h, w)  # n x f_out
-    a_src = tape.slice_rows(a, 0, fp)
-    a_dst = tape.slice_rows(a, fp, 2 * fp)
-    f = tape.matmul(hw, a_src)  # n x 1, source term per row
-    g = tape.matmul(hw, a_dst)  # n x 1, destination term per row
-    ones_row = tape.leaf(np.ones((1, n)))
-    ones_col = tape.leaf(np.ones((n, 1)))
-    scores = tape.add(
-        tape.matmul(f, ones_row), tape.matmul(ones_col, tape.transpose(g))
-    )
-    scores = tape.leaky_relu(scores, layer.slope)
-    alpha = tape.row_softmax_masked(scores, mask)
-    return alpha, hw
+def _check_width(where: str, layer: GatLayer, h: Tensor) -> None:
+    if h.cols != layer.weights[0].shape[0]:
+        raise DimensionError(
+            f"{where}: features {h.shape} vs weight {layer.weights[0].shape}"
+        )
 
 
 def gat_attention(
     tape: Tape, layer: GatLayer, h: Tensor, adj: np.ndarray
 ) -> list[Tensor]:
-    """Per-head attention matrices; rows sum to 1 over neighbours plus self."""
-    if h.cols != layer.weights[0].shape[0]:
-        raise DimensionError(
-            f"gat_attention: features {h.shape} vs weight {layer.weights[0].shape}"
-        )
-    mask = _attention_mask(adj)
-    return [_gat_head(tape, layer, k, h, mask)[0] for k in range(layer.heads)]
+    """Per-head attention matrices as constant leaves; rows sum to 1 over
+    neighbours plus self."""
+    _check_width("gat_attention", layer, h)
+    alpha, _ = attention_weights(
+        h.values @ np.hstack(layer.weights),
+        np.hstack(layer.att),
+        _attention_mask(adj),
+        layer.heads,
+        layer.slope,
+    )
+    return [tape.leaf(a) for a in alpha]
 
 
 def gat_forward(tape: Tape, layer: GatLayer, h: Tensor, adj: np.ndarray) -> Tensor:
-    if h.cols != layer.weights[0].shape[0]:
-        raise DimensionError(
-            f"gat_forward: features {h.shape} vs weight {layer.weights[0].shape}"
-        )
-    mask = _attention_mask(adj)
-    outputs = []
-    for k in range(layer.heads):
-        alpha, hw = _gat_head(tape, layer, k, h, mask)
-        outputs.append(tape.matmul(alpha, hw))
-    if layer.concat:
-        return _activate(tape, tape.concat_cols(outputs), layer.activation)
-    acc = outputs[0]
-    for out in outputs[1:]:
-        acc = tape.add(acc, out)
-    return _activate(tape, tape.scale(acc, 1.0 / layer.heads), layer.activation)
+    _check_width("gat_forward", layer, h)
+    w = tape.concat_cols([tape.leaf(w) for w in layer.weights])
+    att = tape.concat_cols([tape.leaf(a) for a in layer.att])
+    out = tape.gat_heads(
+        tape.matmul(h, w), att, _attention_mask(adj), layer.heads, layer.slope
+    )
+    if not layer.concat:
+        # mean over heads: (n, H*f) @ H stacked f x f identities / H
+        avg = np.tile(np.eye(layer.f_out), (layer.heads, 1)) / layer.heads
+        out = tape.matmul(out, tape.leaf(avg))
+    return _activate(tape, out, layer.activation)
 
 
 def gcn_forward(tape: Tape, layer: GcnLayer, h: Tensor, a_hat: Tensor) -> Tensor:

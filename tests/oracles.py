@@ -53,6 +53,39 @@ def oracle_gat_attention(h, w, a_vec, adj, slope=0.2):
     return alpha
 
 
+def oracle_gat_chain(tape, layer, h, adj):
+    """A GAT layer built head by head from generic tape primitives: slices
+    of the attention vector, broadcasts as matmuls against ones, leaky-ReLU
+    and a masked row softmax per head, then the concat or the mean. The
+    per-head reference for the fused gat_forward, values and gradients."""
+    n = h.rows
+    fp = layer.f_out
+    mask = np.asarray(adj, dtype=np.float64) + np.eye(n)
+    outputs = []
+    for k in range(layer.heads):
+        hw = tape.matmul(h, tape.leaf(layer.weights[k]))
+        a = tape.leaf(layer.att[k])
+        f = tape.matmul(hw, tape.slice_rows(a, 0, fp))
+        g = tape.matmul(hw, tape.slice_rows(a, fp, 2 * fp))
+        scores = tape.add(
+            tape.matmul(f, tape.leaf(np.ones((1, n)))),
+            tape.matmul(tape.leaf(np.ones((n, 1))), tape.transpose(g)),
+        )
+        alpha = tape.row_softmax_masked(tape.leaky_relu(scores, layer.slope), mask)
+        outputs.append(tape.matmul(alpha, hw))
+    if layer.concat:
+        out = tape.concat_cols(outputs)
+    else:
+        out = outputs[0]
+        for o in outputs[1:]:
+            out = tape.add(out, o)
+        out = tape.scale(out, 1.0 / layer.heads)
+    if layer.activation == "elu":
+        return tape.elu(out)
+    assert layer.activation == "identity", layer.activation
+    return out
+
+
 def oracle_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 

@@ -44,6 +44,18 @@ class TestPrimitiveValues:
         with pytest.raises(ConfigError, match="row 1"):
             t.row_softmax_masked(t.leaf(np.zeros((2, 2))), np.array([[1.0, 0.0], [0.0, 0.0]]))
 
+    def test_gat_heads_rejects_fully_masked_row_and_bad_shapes(self):
+        t = Tape()
+        hw, att = t.leaf(np.zeros((2, 4))), t.leaf(np.zeros((4, 2)))
+        with pytest.raises(ConfigError, match="row 1"):
+            t.gat_heads(hw, att, np.array([[1.0, 0.0], [0.0, 0.0]]), 2, 0.2)
+        with pytest.raises(DimensionError):
+            t.gat_heads(hw, att, np.eye(2), 1, 0.2)
+        with pytest.raises(DimensionError):
+            t.gat_heads(hw, t.leaf(np.zeros((6, 2))), np.eye(2), 2, 0.2)
+        with pytest.raises(DimensionError):
+            t.gat_heads(hw, att, np.eye(3), 2, 0.2)
+
     def test_shape_mismatch_names_both_shapes(self):
         t = Tape()
         a, b = t.leaf(np.zeros((2, 3))), t.leaf(np.zeros((2, 3)))
@@ -187,6 +199,25 @@ class TestGradCheck:
         ).passed
         assert grad_check(expsum, {"x": rng.standard_normal((2, 3))}).passed
         assert grad_check(relu_sum, {"x": rng.standard_normal((3, 3)) + 0.2}).passed
+
+    def test_gat_heads_gradient(self):
+        rng = np.random.default_rng(12)
+        mask = (rng.random((5, 5)) < 0.5).astype(float)
+        np.fill_diagonal(mask, 1.0)
+        probe = rng.standard_normal((5, 6))
+
+        def f(p):
+            t = Tape()
+            out = t.gat_heads(t.leaf(p["hw"]), t.leaf(p["att"]), mask, 3, 0.2)
+            loss = t.sum(t.hadamard(out, t.leaf(probe)))
+            t.backward(loss)
+            return float(loss.values[0, 0]), {k: t.grad(v) for k, v in p.items()}
+
+        for seed in range(5):
+            r = np.random.default_rng(seed)
+            params = {"hw": r.standard_normal((5, 6)), "att": r.standard_normal((4, 3))}
+            report = grad_check(f, params)
+            assert report.passed, report
 
     def test_dropout_gradient_with_frozen_mask(self):
         rng = np.random.default_rng(13)

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from egoinf.checkpoint import load_checkpoint, save_checkpoint
 from egoinf.cli import main
@@ -217,3 +223,144 @@ def test_duplicate_sample_id_has_exit_code_3(tmp_path, capsys):
     ])
     assert code == 3
     assert "duplicate sample id 'twin'" in capsys.readouterr().err
+
+
+def _train_on(tmp_path, records: str, splits: str) -> int:
+    data = tmp_path / "hostile.jsonl"
+    data.write_text(records)
+    (tmp_path / "hostile.jsonl.splits.json").write_text(splits)
+    return main([
+        "train", "--data", str(data), "--out", str(tmp_path / "out"), *FAST_TRAIN_FLAGS
+    ])
+
+
+PAIR = '{"id":"%s","n":2,"edges":%s,"ego":0,"state":[1,0],"label":%d}\n'
+TRAIN_BOTH = '{"train":[0,1],"valid":[],"test":[]}\n'
+
+
+def test_float_edge_index_has_exit_code_3(tmp_path, capsys):
+    code = _train_on(tmp_path, PAIR % ("a", "[[0.5,1]]", 0) + PAIR % ("b", "[[0,1]]", 1), TRAIN_BOTH)
+    assert code == 3
+    assert "sample a" in capsys.readouterr().err
+
+
+def test_non_integer_split_index_has_exit_code_3(tmp_path, capsys):
+    records = PAIR % ("a", "[[0,1]]", 0) + PAIR % ("b", "[[0,1]]", 1)
+    code = _train_on(tmp_path, records, '{"train":[0,0.5],"valid":[],"test":[]}\n')
+    assert code == 3
+    assert "split 'train'" in capsys.readouterr().err
+
+
+def test_malformed_splits_file_has_exit_code_3(tmp_path, capsys):
+    records = PAIR % ("a", "[[0,1]]", 0) + PAIR % ("b", "[[0,1]]", 1)
+    code = _train_on(tmp_path, records, '{"train":[0,1],')
+    assert code == 3
+    assert "malformed splits file" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(trained_dir):
+    return {
+        name: (trained_dir / name).read_bytes() for name in ("model.ckpt", "vgae.ckpt")
+    }
+
+
+def _load_all(path):
+    """Every reader of a checkpoint file; returns normally or raises."""
+    from egoinf.cli import load_joint_model, load_vgae
+
+    load_checkpoint(path)
+    (load_vgae if path.name.startswith("vgae") else load_joint_model)(path)
+
+
+class TestHostileCheckpoints:
+    @pytest.mark.parametrize("cut", [0, 3, 10, 20, 40])
+    @pytest.mark.parametrize("name", ["model.ckpt", "vgae.ckpt"])
+    def test_truncated_checkpoint_is_data_error(self, checkpoint_bytes, tmp_path, name, cut):
+        from egoinf.errors import DataError
+
+        path = tmp_path / name
+        path.write_bytes(checkpoint_bytes[name][:cut])
+        with pytest.raises(DataError):
+            _load_all(path)
+
+    def test_truncated_checkpoint_exits_3(self, synth_dir, trained_dir, checkpoint_bytes, tmp_path):
+        cut = tmp_path / "model.ckpt"
+        cut.write_bytes(checkpoint_bytes["model.ckpt"][:-9])
+        code = main([
+            "eval", "--data", str(synth_dir / "dataset.jsonl"), "--out", str(tmp_path / "e"),
+            "--model-ckpt", str(cut), "--vgae", str(trained_dir / "vgae.ckpt"),
+        ])
+        assert code == 3
+
+    def test_vgae_shapes_checked_against_metadata(self, trained_dir, tmp_path):
+        from egoinf.cli import load_vgae
+        from egoinf.errors import DataError
+
+        mats, meta = load_checkpoint(trained_dir / "vgae.ckpt")
+        assert load_vgae(trained_dir / "vgae.ckpt").in_width == meta["in_width"]
+        for bad_meta, bad_mats in (
+            ({**meta, "hidden": meta["hidden"] + 1}, mats),
+            (meta, {**mats, "w1_mu": mats["w1_mu"][:, 1:]}),
+            (meta, {k: v for k, v in mats.items() if k != "w1_logvar"}),
+            ({**meta, "embed_dim": "4"}, mats),
+        ):
+            path = tmp_path / "vgae.ckpt"
+            save_checkpoint(path, bad_mats, bad_meta)
+            with pytest.raises(DataError):
+                load_vgae(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        name=st.sampled_from(["model.ckpt", "vgae.ckpt"]),
+        cut=st.one_of(st.none(), st.integers(min_value=0)),
+        flips=st.lists(
+            st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=255)),
+            max_size=3,
+        ),
+    )
+    def test_damaged_checkpoint_raises_only_data_error(
+        self, checkpoint_bytes, tmp_path, name, cut, flips
+    ):
+        from egoinf.errors import DataError
+
+        raw = bytearray(checkpoint_bytes[name])
+        for pos, mask in flips:
+            raw[pos % len(raw)] ^= mask
+        if cut is not None:
+            raw = raw[: cut % len(raw)]
+        path = tmp_path / name
+        path.write_bytes(bytes(raw))
+        try:
+            _load_all(path)
+        except DataError:
+            pass
+
+
+def test_rerun_is_bit_exact_across_blas_thread_counts(tmp_path):
+    # train with one BLAS thread, replay with two: every hashed output must
+    # match. 50-node egos and the published head sizes make the projection
+    # GEMM (50 x 130 @ 130 x 128) big enough for OpenBLAS to split it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def cli(threads, *args):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads)}
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-m", "egoinf.cli", *args],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        return done.stdout
+
+    data = tmp_path / "synth"
+    cli(1, "synth", "--out", str(data), *SYNTH_FLAGS, "--nodes", "300",
+        "--subgraph-size", "50", "--restart-p", "0.5")
+    train = tmp_path / "train"
+    cli(1, "train", "--data", str(data / "dataset.jsonl"), "--out", str(train),
+        "--arm", "8", *FAST_TRAIN_FLAGS, "--hidden", "128", "--heads", "8",
+        "--embed-dim", "64", "--dw-dim", "64")
+    out = cli(2, "rerun", "--manifest", str(train / "manifest.json"),
+              "--out", str(tmp_path / "rerun"))
+    assert "rerun model.ckpt: ok" in out and "mismatch" not in out

@@ -21,6 +21,7 @@ from egoinf.layers import (
 
 from .oracles import (
     oracle_gat_attention,
+    oracle_gat_chain,
     oracle_gcn,
     oracle_normalized_adjacency,
     random_adjacency,
@@ -192,6 +193,53 @@ class TestGatForward:
                 alpha = oracle_gat_attention(h, layer.weights[k], layer.att[k], adj)
                 pieces.append(alpha @ (h @ layer.weights[k]))
             np.testing.assert_allclose(out.values, np.hstack(pieces), atol=1e-12)
+
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
+    @pytest.mark.parametrize("concat", [True, False])
+    @pytest.mark.parametrize("edgeless", [False, True])
+    def test_fused_heads_match_per_head_chain(self, heads, concat, edgeless):
+        for seed in range(10):
+            rng = rng_for(100 * heads + seed)
+            n = int(rng.integers(2, 9))
+            adj = np.zeros((n, n)) if edgeless else random_adjacency(n, rng)
+            h = rng.standard_normal((n, 5))
+            layer = GatLayer.create(
+                5, 3, heads, rng, concat=concat, activation="elu" if concat else "identity"
+            )
+            probe = rng.standard_normal((n, 3 * heads if concat else 3))
+            results = []
+            for forward in (gat_forward, oracle_gat_chain):
+                t = Tape()
+                x = t.leaf(h)
+                out = forward(t, layer, x, adj)
+                t.backward(t.sum(t.hadamard(out, t.leaf(probe))))
+                grads = {k: t.grad(v) for k, v in layer.parameters().items()}
+                results.append((out.values, t.grad(x), grads))
+            (got, got_dx, got_grads), (want, want_dx, want_grads) = results
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got_dx, want_dx, rtol=0, atol=1e-12)
+            assert set(got_grads) == {f"h{k}.{p}" for k in range(heads) for p in "wa"}
+            for name in want_grads:
+                np.testing.assert_allclose(
+                    got_grads[name], want_grads[name], rtol=0, atol=1e-12, err_msg=name
+                )
+
+    @pytest.mark.parametrize("concat", [True, False])
+    def test_layer_nodes_grow_by_two_per_head(self, concat):
+        rng = rng_for(9)
+        adj = random_adjacency(6, rng)
+        h = rng.standard_normal((6, 4))
+        recorded = []
+        for heads in (1, 2, 3, 4, 8):
+            layer = GatLayer.create(4, 2, heads, rng, concat=concat)
+            t = Tape()
+            x = t.leaf(h)
+            gat_forward(t, layer, x, adj)
+            recorded.append(len(t) - 1)  # the input leaf is not the layer's
+        # two concats, the projection, the attention and the activation;
+        # the mean adds the averaging leaf and its matmul
+        base = 5 if concat else 7
+        assert recorded == [base + 2 * heads for heads in (1, 2, 3, 4, 8)]
 
     def test_averaged_output_layer_width(self):
         rng = rng_for(8)
