@@ -157,7 +157,12 @@ def load_joint_model(path: Path) -> tuple[JointModel, TrainConfig, int]:
         raise DataError(f"{path}: bad model configuration in checkpoint: {exc}") from exc
     params = model.parameters(include_gae=True)
     if set(params) != set(matrices):
-        raise DataError(f"{path}: parameter names do not match the configuration")
+        missing = sorted(set(params) - set(matrices))
+        unexpected = sorted(set(matrices) - set(params))
+        raise DataError(
+            f"{path}: matrices do not match the configuration: "
+            f"missing {missing}, unexpected {unexpected}"
+        )
     for name, arr in matrices.items():
         if params[name].shape != arr.shape:
             raise DataError(f"{path}: shape mismatch for '{name}'")

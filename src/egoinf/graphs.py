@@ -216,6 +216,8 @@ def load_dataset(path) -> Dataset:
             n, ego, label = rec["n"], rec["ego"], rec["label"]
             if not (_is_int(n) and _is_int(ego) and _is_int(label)):
                 raise DataError(f"{where}: n, ego and label must be integers")
+            if n < 1:
+                raise DataError(f"{where}: n must be at least 1, got {n}")
             edges = rec["edges"]
             if not isinstance(edges, list):
                 raise DataError(f"{where}: edges must be a list")
@@ -224,6 +226,9 @@ def load_dataset(path) -> Dataset:
                 if len(e) != 2 or not (0 <= e[0] < e[1] < n):
                     raise DataError(f"{where}: bad edge {e} (need [i, j], 0 <= i < j < n)")
             state = _int_list(rec["state"], f"{where}: state")
+            # before the n x n adjacency is allocated: n comes from the file
+            if len(state) != n:
+                raise DataError(f"{where}: state has {len(state)} entries, n is {n}")
             if any(v not in (0, 1) for v in state):
                 raise DataError(f"{where}: state entries outside {{0,1}}")
             sample = EgoSample(

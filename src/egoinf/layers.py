@@ -4,10 +4,10 @@ All forwards run on a Tape so the classification loss differentiates
 end to end. Layers are bias-free parameter holders; weights are plain
 fp64 arrays updated in place by the optimizer between tapes.
 
-A GAT layer records a constant number of nodes plus one leaf per head
-parameter: the per-head weights and attention vectors are concatenated
-on the tape, projected with one matmul and handed to ``Tape.gat_heads``,
-which computes every head at once.
+A GAT layer stores all heads in one weight and one attention matrix, so
+it records the same five nodes (seven for the averaging output layer)
+whatever its head count: two parameter leaves, one projection matmul and
+one ``Tape.gat_heads`` node that computes every head at once.
 """
 from __future__ import annotations
 
@@ -70,15 +70,17 @@ class GcnLayer:
 class GatLayer:
     """Multi-head attention layer.
 
-    Each head holds a projection (f_in, f_out) and an attention vector of
-    length 2*f_out split into source and destination halves. Hidden layers
+    All heads share two matrices, in the layout ``Tape.gat_heads``
+    consumes: ``weight`` (f_in, H*f_out) holds head k's projection in
+    columns k*f_out:(k+1)*f_out, and ``att`` (2*f_out, H) holds head k's
+    attention vector in column k, source half first. Hidden layers
     concatenate head outputs; the output layer averages them (one matmul
     against stacked identities) before the activation so the width stays
     f_out.
     """
 
-    weights: list[np.ndarray]
-    att: list[np.ndarray]  # each (2*f_out, 1)
+    weight: np.ndarray  # (f_in, H*f_out)
+    att: np.ndarray  # (2*f_out, H)
     slope: float = LEAKY_SLOPE
     concat: bool = True
     activation: str = "elu"
@@ -93,24 +95,23 @@ class GatLayer:
         concat: bool = True,
         activation: str = "elu",
     ) -> "GatLayer":
+        # per-head draws, every projection before every attention vector
         ws = [glorot(f_in, f_out, rng) for _ in range(heads)]
         atts = [glorot(2 * f_out, 1, rng) for _ in range(heads)]
-        return cls(weights=ws, att=atts, concat=concat, activation=activation)
+        return cls(
+            weight=np.hstack(ws), att=np.hstack(atts), concat=concat, activation=activation
+        )
 
     @property
     def heads(self) -> int:
-        return len(self.weights)
+        return self.att.shape[1]
 
     @property
     def f_out(self) -> int:
-        return self.weights[0].shape[1]
+        return self.att.shape[0] // 2
 
     def parameters(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for k in range(self.heads):
-            out[f"h{k}.w"] = self.weights[k]
-            out[f"h{k}.a"] = self.att[k]
-        return out
+        return {"w": self.weight, "a": self.att}
 
 
 def _attention_mask(adj: np.ndarray) -> np.ndarray:
@@ -119,10 +120,8 @@ def _attention_mask(adj: np.ndarray) -> np.ndarray:
 
 
 def _check_width(where: str, layer: GatLayer, h: Tensor) -> None:
-    if h.cols != layer.weights[0].shape[0]:
-        raise DimensionError(
-            f"{where}: features {h.shape} vs weight {layer.weights[0].shape}"
-        )
+    if h.cols != layer.weight.shape[0]:
+        raise DimensionError(f"{where}: features {h.shape} vs weight {layer.weight.shape}")
 
 
 def gat_attention(
@@ -132,21 +131,16 @@ def gat_attention(
     neighbours plus self."""
     _check_width("gat_attention", layer, h)
     alpha, _ = attention_weights(
-        h.values @ np.hstack(layer.weights),
-        np.hstack(layer.att),
-        _attention_mask(adj),
-        layer.heads,
-        layer.slope,
+        h.values @ layer.weight, layer.att, _attention_mask(adj), layer.heads, layer.slope
     )
     return [tape.leaf(a) for a in alpha]
 
 
 def gat_forward(tape: Tape, layer: GatLayer, h: Tensor, adj: np.ndarray) -> Tensor:
     _check_width("gat_forward", layer, h)
-    w = tape.concat_cols([tape.leaf(w) for w in layer.weights])
-    att = tape.concat_cols([tape.leaf(a) for a in layer.att])
+    hw = tape.matmul(h, tape.leaf(layer.weight))
     out = tape.gat_heads(
-        tape.matmul(h, w), att, _attention_mask(adj), layer.heads, layer.slope
+        hw, tape.leaf(layer.att), _attention_mask(adj), layer.heads, layer.slope
     )
     if not layer.concat:
         # mean over heads: (n, H*f) @ H stacked f x f identities / H

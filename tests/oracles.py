@@ -53,18 +53,27 @@ def oracle_gat_attention(h, w, a_vec, adj, slope=0.2):
     return alpha
 
 
+def gat_head(layer, k):
+    """Head k's projection (f_in, f_out) and attention vector (2*f_out, 1):
+    column block k of a GatLayer's stacked matrices."""
+    fp = layer.f_out
+    return layer.weight[:, k * fp : (k + 1) * fp], layer.att[:, k : k + 1]
+
+
 def oracle_gat_chain(tape, layer, h, adj):
-    """A GAT layer built head by head from generic tape primitives: slices
+    """A GAT layer built head by head from generic tape primitives: head k
+    as column block k of the stacked weight and attention matrices, slices
     of the attention vector, broadcasts as matmuls against ones, leaky-ReLU
     and a masked row softmax per head, then the concat or the mean. The
     per-head reference for the fused gat_forward, values and gradients."""
     n = h.rows
     fp = layer.f_out
     mask = np.asarray(adj, dtype=np.float64) + np.eye(n)
+    weight, att = tape.leaf(layer.weight), tape.leaf(layer.att)
     outputs = []
     for k in range(layer.heads):
-        hw = tape.matmul(h, tape.leaf(layer.weights[k]))
-        a = tape.leaf(layer.att[k])
+        hw = tape.matmul(h, tape.slice_cols(weight, k * fp, (k + 1) * fp))
+        a = tape.slice_cols(att, k, k + 1)
         f = tape.matmul(hw, tape.slice_rows(a, 0, fp))
         g = tape.matmul(hw, tape.slice_rows(a, fp, 2 * fp))
         scores = tape.add(

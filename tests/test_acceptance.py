@@ -57,6 +57,7 @@ from egoinf.training import (
 )
 
 from .oracles import (
+    gat_head,
     oracle_auc,
     oracle_gat_attention,
     oracle_gcn,
@@ -282,7 +283,7 @@ def test_c2_oracle_equivalence():
         layer = GatLayer.create(3, 2, 1, rng)
         t = Tape()
         (alpha,) = gat_attention(t, layer, t.leaf(h), adj)
-        expected = oracle_gat_attention(h, layer.weights[0], layer.att[0], adj)
+        expected = oracle_gat_attention(h, *gat_head(layer, 0), adj)
         worst = max(worst, np.abs(alpha.values - expected).max())
 
         z = rng.standard_normal((n, 2))

@@ -258,6 +258,14 @@ def test_malformed_splits_file_has_exit_code_3(tmp_path, capsys):
     assert "malformed splits file" in capsys.readouterr().err
 
 
+def test_huge_n_has_exit_code_3(tmp_path, capsys):
+    # an n x n adjacency for this n would need 10**16 bytes
+    record = '{"id":"a","n":100000000,"edges":[],"ego":0,"state":[0],"label":0}\n'
+    code = _train_on(tmp_path, record, '{"train":[0],"valid":[],"test":[]}\n')
+    assert code == 3
+    assert "state has 1 entries, n is 100000000" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def checkpoint_bytes(trained_dir):
     return {
@@ -309,6 +317,29 @@ class TestHostileCheckpoints:
             save_checkpoint(path, bad_mats, bad_meta)
             with pytest.raises(DataError):
                 load_vgae(path)
+
+    def test_per_head_layout_exits_3_naming_matrices(
+        self, synth_dir, trained_dir, capsys, tmp_path
+    ):
+        # the earlier layout kept one matrix per head: head.l{i}.h{k}.w / .a
+        mats, meta = load_checkpoint(trained_dir / "model.ckpt")
+        per_head = {k: v for k, v in mats.items() if not k.startswith("head.")}
+        for i in range(3):
+            w, a = mats[f"head.l{i}.w"], mats[f"head.l{i}.a"]
+            heads, fp = a.shape[1], a.shape[0] // 2
+            for k in range(heads):
+                per_head[f"head.l{i}.h{k}.w"] = w[:, k * fp : (k + 1) * fp]
+                per_head[f"head.l{i}.h{k}.a"] = a[:, k : k + 1]
+        old = tmp_path / "model.ckpt"
+        save_checkpoint(old, per_head, meta)
+        code = main([
+            "eval", "--data", str(synth_dir / "dataset.jsonl"), "--out", str(tmp_path / "e"),
+            "--model-ckpt", str(old), "--vgae", str(trained_dir / "vgae.ckpt"),
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "missing ['head.l0.a', 'head.l0.w', " in err
+        assert "unexpected ['head.l0.h0.a', 'head.l0.h0.w', " in err
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from egoinf.errors import DataError
 from egoinf.graphs import (
@@ -125,6 +127,61 @@ class TestSerialization:
         path.write_text('{"id":"odd","n":2,"edges":[[0,2]],"ego":0,"state":[0,0],"label":0}\n')
         with pytest.raises(DataError, match="odd"):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            # an n x n adjacency for this n would need 10**16 bytes
+            ('"n":100000000,"edges":[],"ego":0,"state":[0]', "state has 1 entries, n is 100000000"),
+            ('"n":0,"edges":[],"ego":0,"state":[]', "n must be at least 1"),
+            ('"n":-2,"edges":[],"ego":0,"state":[0,0]', "n must be at least 1"),
+        ],
+    )
+    def test_bad_n_rejected_before_allocating(self, tmp_path, record, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id":"a",%s,"label":0}\n' % record)
+        with pytest.raises(DataError, match=message):
+            load_dataset(path)
+
+    @pytest.fixture(scope="class")
+    def saved_bytes(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("saved") / "data.jsonl"
+        save_dataset(self.make_dataset(), path)
+        return {
+            "data": path.read_bytes(),
+            "splits": (path.parent / "data.jsonl.splits.json").read_bytes(),
+        }
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        target=st.sampled_from(["data", "splits"]),
+        cut=st.one_of(st.none(), st.integers(min_value=0)),
+        writes=st.lists(
+            st.tuples(
+                st.integers(min_value=0),
+                # bytes that keep the JSON parsing as often as they break it
+                st.one_of(st.integers(0, 255), st.sampled_from(list(b'0123456789-,:[]{}"e. '))),
+            ),
+            max_size=3,
+        ),
+    )
+    def test_damaged_files_raise_only_data_error(
+        self, saved_bytes, tmp_path, target, cut, writes
+    ):
+        raw = bytearray(saved_bytes[target])
+        for pos, byte in writes:
+            raw[pos % len(raw)] = byte
+        if cut is not None:
+            raw = raw[: cut % len(raw)]
+        files = {**saved_bytes, target: bytes(raw)}
+        path = tmp_path / "data.jsonl"
+        path.write_bytes(files["data"])
+        (tmp_path / "data.jsonl.splits.json").write_bytes(files["splits"])
+        try:
+            load_dataset(path)
+        except DataError:
+            pass
 
     def test_overlapping_splits_rejected(self, tmp_path):
         d = self.make_dataset()

@@ -13,6 +13,7 @@ from egoinf.layers import (
     gat_attention,
     gat_forward,
     gcn_forward,
+    glorot,
     normalized_adjacency,
     prediction_forward,
     softmax_row,
@@ -20,6 +21,7 @@ from egoinf.layers import (
 
 
 from .oracles import (
+    gat_head,
     oracle_gat_attention,
     oracle_gat_chain,
     oracle_gcn,
@@ -137,7 +139,7 @@ class TestGatAttention:
             t = Tape()
             alphas = gat_attention(t, layer, t.leaf(h), adj)
             for k, alpha in enumerate(alphas):
-                expected = oracle_gat_attention(h, layer.weights[k], layer.att[k], adj)
+                expected = oracle_gat_attention(h, *gat_head(layer, k), adj)
                 np.testing.assert_allclose(alpha.values, expected, atol=1e-12)
 
     def test_rows_sum_to_one_over_attended_set(self):
@@ -156,8 +158,8 @@ class TestGatForward:
         n, f = 4, 3
         h = rng_for(6).standard_normal((n, f))
         layer = GatLayer(
-            weights=[np.eye(f)],
-            att=[np.zeros((2 * f, 1))],
+            weight=np.eye(f),
+            att=np.zeros((2 * f, 1)),
             concat=True,
             activation="identity",
         )
@@ -172,8 +174,8 @@ class TestGatForward:
         a = rng.standard_normal((2 * fp, 1))
         adj = random_adjacency(n, rng)
         h = rng.standard_normal((n, f))
-        single = GatLayer(weights=[w], att=[a], concat=True, activation="identity")
-        double = GatLayer(weights=[w, w.copy()], att=[a, a.copy()], concat=True, activation="identity")
+        single = GatLayer(weight=w, att=a, concat=True, activation="identity")
+        double = GatLayer(weight=np.hstack([w, w]), att=np.hstack([a, a]), concat=True, activation="identity")
         t = Tape()
         one = gat_forward(t, single, t.leaf(h), adj).values
         two = gat_forward(t, double, t.leaf(h), adj).values
@@ -190,8 +192,9 @@ class TestGatForward:
             out = gat_forward(t, layer, t.leaf(h), adj)
             pieces = []
             for k in range(2):
-                alpha = oracle_gat_attention(h, layer.weights[k], layer.att[k], adj)
-                pieces.append(alpha @ (h @ layer.weights[k]))
+                w, a = gat_head(layer, k)
+                alpha = oracle_gat_attention(h, w, a, adj)
+                pieces.append(alpha @ (h @ w))
             np.testing.assert_allclose(out.values, np.hstack(pieces), atol=1e-12)
 
     @pytest.mark.parametrize("heads", [1, 2, 3, 4])
@@ -218,28 +221,39 @@ class TestGatForward:
             (got, got_dx, got_grads), (want, want_dx, want_grads) = results
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             np.testing.assert_allclose(got_dx, want_dx, rtol=0, atol=1e-12)
-            assert set(got_grads) == {f"h{k}.{p}" for k in range(heads) for p in "wa"}
+            assert set(got_grads) == {"w", "a"}
             for name in want_grads:
                 np.testing.assert_allclose(
                     got_grads[name], want_grads[name], rtol=0, atol=1e-12, err_msg=name
                 )
 
     @pytest.mark.parametrize("concat", [True, False])
-    def test_layer_nodes_grow_by_two_per_head(self, concat):
+    def test_layer_nodes_independent_of_heads(self, concat):
         rng = rng_for(9)
         adj = random_adjacency(6, rng)
         h = rng.standard_normal((6, 4))
         recorded = []
-        for heads in (1, 2, 3, 4, 8):
+        for heads in (1, 2, 3, 4):
             layer = GatLayer.create(4, 2, heads, rng, concat=concat)
             t = Tape()
             x = t.leaf(h)
             gat_forward(t, layer, x, adj)
             recorded.append(len(t) - 1)  # the input leaf is not the layer's
-        # two concats, the projection, the attention and the activation;
-        # the mean adds the averaging leaf and its matmul
-        base = 5 if concat else 7
-        assert recorded == [base + 2 * heads for heads in (1, 2, 3, 4, 8)]
+        # two parameter leaves, the projection, the attention and the
+        # activation; the mean adds the averaging leaf and its matmul
+        assert recorded == [5 if concat else 7] * 4
+
+    def test_create_stacks_per_head_glorot_draws(self):
+        # the draw order fixes every initial weight, so trained scores too
+        f_in, f_out, heads = 5, 3, 4
+        layer = GatLayer.create(f_in, f_out, heads, rng_for(11))
+        rng = rng_for(11)
+        ws = [glorot(f_in, f_out, rng) for _ in range(heads)]
+        atts = [glorot(2 * f_out, 1, rng) for _ in range(heads)]
+        np.testing.assert_array_equal(layer.weight, np.hstack(ws))
+        np.testing.assert_array_equal(layer.att, np.hstack(atts))
+        assert (layer.heads, layer.f_out) == (heads, f_out)
+        assert set(layer.parameters()) == {"w", "a"}
 
     def test_averaged_output_layer_width(self):
         rng = rng_for(8)
