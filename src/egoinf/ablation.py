@@ -9,9 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autoenc import VgaeModel
 from .errors import ConfigError
 from .features import FeatureStore, feature_width
-from .graphs import Dataset
+from .graphs import Dataset, EgoSample
 from .metrics import auc, f1
 from .training import (
     AblationConfig,
@@ -101,59 +102,63 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def run_arm(
-    dataset: Dataset,
-    cfg: TrainConfig,
-    abl: AblationConfig,
-    seed: int,
-    store: FeatureStore | None = None,
-    eval_split: str = "test",
-) -> RunRecord:
-    """Train and evaluate one arm with one seed."""
+def fit_arm(
+    dataset: Dataset, cfg: TrainConfig, abl: AblationConfig, seed: int,
+    store: FeatureStore, vgae: VgaeModel | None = None,
+) -> tuple[JointModel, VgaeModel | None, list[dict[str, float]]]:
+    """Train one arm with one seed on the train split. The augmenter is
+    pretrained only when the arm augments and none was passed in."""
     cfg_run = run_config_with_seed(cfg, seed)
+    train_samples = dataset.split_samples("train")
+    if vgae is None and (abl.train_aug or abl.test_aug):
+        vgae = pretrain_augmenter(train_samples, cfg_run, store, seed)
+    model = JointModel.create(cfg_run, feature_width=feature_width(cfg.deepwalk), seed=seed)
+    _, trace = train_joint(model, train_samples, cfg_run, abl, vgae=vgae, store=store)
+    return model, vgae, trace
+
+
+def score_arm(
+    model: JointModel, samples: list[EgoSample], cfg: TrainConfig,
+    abl: AblationConfig, seed: int, store: FeatureStore, vgae: VgaeModel | None,
+) -> tuple[list[float], RunRecord]:
+    """Score samples, averaging over augmented copies when the arm asks."""
+    cfg_run = run_config_with_seed(cfg, seed)
+    scores = [predict(model, s, abl, vgae, cfg_run, store) for s in samples]
+    labels = [s.label for s in samples]
+    return scores, RunRecord(abl.arm_id, seed, auc(scores, labels), f1(scores, labels))
+
+
+def run_arm(
+    dataset: Dataset, cfg: TrainConfig, abl: AblationConfig, seed: int,
+    store: FeatureStore | None = None, vgae: VgaeModel | None = None,
+) -> RunRecord:
+    """Train one arm with one seed and evaluate it on the test split."""
     if store is None:
         store = FeatureStore(seed, cfg.deepwalk)
-    train_samples = dataset.split_samples("train")
-    eval_samples = dataset.split_samples(eval_split)
-    if not train_samples or not eval_samples:
-        raise ConfigError(f"dataset lacks a train or {eval_split} split")
-
-    vgae = None
-    if abl.train_aug or abl.test_aug:
-        vgae = pretrain_augmenter(train_samples, cfg_run, store, seed)
-
-    model = JointModel.create(cfg_run, feature_width=feature_width(cfg.deepwalk), seed=seed)
-    train_joint(model, train_samples, cfg_run, abl, vgae=vgae, store=store)
-
-    scores = [predict(model, s, abl, vgae, cfg_run, store) for s in eval_samples]
-    labels = [s.label for s in eval_samples]
-    return RunRecord(
-        arm=abl.arm_id,
-        run_seed=seed,
-        auc=auc(scores, labels),
-        f1=f1(scores, labels),
-    )
+    test_samples = dataset.split_samples("test")
+    model, vgae, _ = fit_arm(dataset, cfg, abl, seed, store, vgae)
+    return score_arm(model, test_samples, cfg, abl, seed, store, vgae)[1]
 
 
 def run_ablation(
-    dataset: Dataset,
-    cfg: TrainConfig,
-    arms: list[AblationConfig],
-    runs: int,
-    seeds: list[int] | None = None,
+    dataset: Dataset, cfg: TrainConfig, arms: list[AblationConfig], seeds: list[int]
 ) -> MetricsReport:
-    """Run every arm with the same seed list; seeds must be distinct."""
+    """Run every arm with the same seed list; seeds must be distinct. Per
+    seed the arms share one FeatureStore and one pretrained augmenter,
+    whose training reads no arm switch."""
     if not arms:
         raise ConfigError("run_ablation: no arms given")
-    if seeds is None:
-        seeds = [cfg.seed + i for i in range(runs)]
-    if len(seeds) != runs:
-        raise ConfigError(f"need {runs} seeds, got {len(seeds)}")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"duplicate run seeds rejected: {seeds}")
+    train_samples = dataset.split_samples("train")
+    dataset.split_samples("test")  # an empty test split fails before any work
+    augments = any(abl.train_aug or abl.test_aug for abl in arms)
     records: list[RunRecord] = []
     for seed in seeds:
-        store = FeatureStore(seed, cfg.deepwalk)  # shared across arms per seed
+        store = FeatureStore(seed, cfg.deepwalk)
+        vgae = None
+        if augments:
+            vgae = pretrain_augmenter(train_samples, run_config_with_seed(cfg, seed), store, seed)
         for abl in arms:
-            records.append(run_arm(dataset, cfg, abl, seed, store=store))
+            records.append(run_arm(dataset, cfg, abl, seed, store=store, vgae=vgae))
     return MetricsReport(records=records)

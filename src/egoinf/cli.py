@@ -18,24 +18,21 @@ import json
 import sys
 from pathlib import Path
 
-from .ablation import run_ablation
+from .ablation import fit_arm, run_ablation, run_arm, score_arm
 from .augment import AugmentationConfig, generate_augmentations
 from .autoenc import VgaeModel
 from .cascade import CascadeConfig, generate_dataset
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, DivergenceError, NumericsError
-from .features import DeepWalkConfig, FeatureStore, feature_width
+from .features import DeepWalkConfig, FeatureStore
 from .graphs import load_dataset, save_dataset
-from .metrics import auc, f1
 from .training import (
     AblationConfig,
     JointModel,
     ModelConfig,
     TrainConfig,
-    predict,
     pretrain_augmenter,
     run_config_with_seed,
-    train_joint,
 )
 
 MANIFEST_NAME = "manifest.json"
@@ -226,19 +223,10 @@ def do_train(config: dict, out: Path) -> None:
     dataset = load_dataset(config["data"])
     out.mkdir(parents=True, exist_ok=True)
 
-    cfg_run = run_config_with_seed(cfg, cfg.seed)
     store = FeatureStore(cfg.seed, cfg.deepwalk)
-    train_samples = dataset.split_samples("train")
-    if not train_samples:
-        raise DataError("dataset has no train split")
-
-    vgae = None
-    if abl.train_aug or abl.test_aug:
-        vgae = pretrain_augmenter(train_samples, cfg_run, store, cfg.seed)
+    model, vgae, trace = fit_arm(dataset, cfg, abl, cfg.seed, store)
+    if vgae is not None:
         save_vgae(out / "vgae.ckpt", vgae, cfg)
-
-    model = JointModel.create(cfg_run, feature_width=feature_width(cfg.deepwalk), seed=cfg.seed)
-    _, trace = train_joint(model, train_samples, cfg_run, abl, vgae=vgae, store=store)
     save_joint_model(out / "model.ckpt", model, cfg, arm)
     _write_jsonl(out / "trace.jsonl", trace)
     print(f"arm {arm}: trained {cfg.epochs} epochs, final loss {trace[-1]['loss']:.4f}")
@@ -252,23 +240,15 @@ def do_eval(config: dict, out: Path) -> None:
     dataset = load_dataset(config["data"])
     split = config.get("split", "test")
     samples = dataset.split_samples(split)
-    if not samples:
-        raise DataError(f"dataset has no '{split}' split")
-
-    vgae = None
-    if config.get("vgae_ckpt"):
-        vgae = load_vgae(Path(config["vgae_ckpt"]))
+    vgae = load_vgae(Path(config["vgae_ckpt"])) if config.get("vgae_ckpt") else None
     if abl.test_aug and cfg.aug.count > 0 and vgae is None:
         raise ConfigError(
             f"arm {arm} uses test-time augmentation; pass --vgae with the "
             "augmenter checkpoint written by train"
         )
 
-    cfg_run = run_config_with_seed(cfg, cfg.seed)
     store = FeatureStore(cfg.seed, cfg.deepwalk)
-    scores = [predict(model, s, abl, vgae, cfg_run, store) for s in samples]
-    labels = [s.label for s in samples]
-    a, f = auc(scores, labels), f1(scores, labels)
+    scores, record = score_arm(model, samples, cfg, abl, cfg.seed, store, vgae)
 
     out.mkdir(parents=True, exist_ok=True)
     _write_jsonl(
@@ -278,11 +258,11 @@ def do_eval(config: dict, out: Path) -> None:
             for s, sc in zip(samples, scores)
         ],
     )
-    _write_jsonl(
-        out / "metrics.jsonl",
-        [{"arm": arm, "run_seed": cfg.seed, "auc": a, "f1": f}],
+    _write_jsonl(out / "metrics.jsonl", [dataclasses.asdict(record)])
+    print(
+        f"arm {arm} on {split}: auc {record.auc:.4f}, f1 {record.f1:.4f} "
+        f"({len(samples)} samples)"
     )
-    print(f"arm {arm} on {split}: auc {a:.4f}, f1 {f:.4f} ({len(samples)} samples)")
     inputs = _dataset_inputs(config["data"]) + [Path(config["model_ckpt"])]
     if config.get("vgae_ckpt"):
         inputs.append(Path(config["vgae_ckpt"]))
@@ -293,8 +273,7 @@ def do_ablate(config: dict, out: Path) -> None:
     cfg = train_config_from_dict(config["train"])
     dataset = load_dataset(config["data"])
     arms = [AblationConfig.from_arm(a) for a in config["arms"]]
-    seeds = list(config["seeds"])
-    report = run_ablation(dataset, cfg, arms, runs=len(seeds), seeds=seeds)
+    report = run_ablation(dataset, cfg, arms, list(config["seeds"]))
 
     out.mkdir(parents=True, exist_ok=True)
     _write_jsonl(
@@ -334,44 +313,30 @@ def do_sweep(config: dict, out: Path) -> None:
     if not (abl.train_aug or abl.test_aug):
         raise ConfigError(f"sweep needs an arm with augmentation, got arm {arm}")
     mode = config["mode"]
+    cast = {"count": int, "threshold": float}.get(mode)
+    if cast is None:
+        raise ConfigError(f"sweep mode must be count or threshold, got {mode}")
     grid = config["grid"]
-    seeds = list(config["seeds"])
+    points = [
+        dataclasses.replace(cfg, aug=dataclasses.replace(cfg.aug, **{mode: cast(v)}))
+        for v in grid
+    ]
     train_samples = dataset.split_samples("train")
-    test_samples = dataset.split_samples("test")
+    dataset.split_samples("test")  # an empty test split fails before any work
 
     rows = []
-    for seed in seeds:
-        cfg_seed = run_config_with_seed(cfg, seed)
+    for seed in config["seeds"]:
+        # pretraining reads no augmentation field, so every grid point shares it
         store = FeatureStore(seed, cfg.deepwalk)
-        vgae = pretrain_augmenter(train_samples, cfg_seed, store, seed)
-        for value in grid:
-            if mode == "count":
-                cfg_point = dataclasses.replace(
-                    cfg, aug=dataclasses.replace(cfg.aug, count=int(value))
-                )
-            elif mode == "threshold":
-                cfg_point = dataclasses.replace(
-                    cfg, aug=dataclasses.replace(cfg.aug, threshold=float(value))
-                )
-            else:
-                raise ConfigError(f"sweep mode must be count or threshold, got {mode}")
-            cfg_run = run_config_with_seed(cfg_point, seed)
-            pct = _augmentation_edge_stats(train_samples, vgae, cfg_run.aug, store)
-            model = JointModel.create(cfg_run, feature_width=feature_width(cfg.deepwalk), seed=seed)
-            train_joint(model, train_samples, cfg_run, abl, vgae=vgae, store=store)
-            scores = [predict(model, s, abl, vgae, cfg_run, store) for s in test_samples]
-            labels = [s.label for s in test_samples]
-            row = {
-                "mode": mode,
-                "value": value,
-                "run_seed": seed,
-                "auc": auc(scores, labels),
-                "f1": f1(scores, labels),
-                "added_edge_pct": pct,
-            }
-            rows.append(row)
+        vgae = pretrain_augmenter(train_samples, run_config_with_seed(cfg, seed), store, seed)
+        for value, cfg_point in zip(grid, points):
+            aug = run_config_with_seed(cfg_point, seed).aug
+            pct = _augmentation_edge_stats(train_samples, vgae, aug, store)
+            record = run_arm(dataset, cfg_point, abl, seed, store=store, vgae=vgae)
+            rows.append({"mode": mode, "value": value, "run_seed": seed, "auc": record.auc,
+                         "f1": record.f1, "added_edge_pct": pct})
             print(
-                f"{mode}={value}: auc {row['auc']:.4f}, f1 {row['f1']:.4f}, "
+                f"{mode}={value}: auc {record.auc:.4f}, f1 {record.f1:.4f}, "
                 f"added edges {pct:.2f}%"
             )
     out.mkdir(parents=True, exist_ok=True)
@@ -389,10 +354,18 @@ _COMMANDS = {
 
 
 def do_rerun(manifest_path: Path, out: Path) -> None:
-    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    command = manifest["command"]
-    if command not in _COMMANDS:
-        raise ConfigError(f"manifest names unknown command '{command}'")
+    try:
+        manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{manifest_path}: unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"{manifest_path}: manifest is not a JSON object")
+    command = manifest.get("command")
+    if not isinstance(command, str) or command not in _COMMANDS:
+        raise DataError(f"{manifest_path}: manifest names unknown command {command!r}")
+    for key in ("config", "outputs"):
+        if not isinstance(manifest.get(key), dict):
+            raise DataError(f"{manifest_path}: manifest '{key}' is not a JSON object")
     _COMMANDS[command](manifest["config"], out)
     fresh = json.loads((out / MANIFEST_NAME).read_text(encoding="utf-8"))
     mismatched = [
@@ -414,6 +387,17 @@ class EgoinfExit(Exception):
 
 
 # -- argument parsing --------------------------------------------------------
+
+
+def _comma_list(cast):
+    """argparse type for comma-separated values; argparse turns a value that
+    cast rejects into a usage error (exit 2)."""
+
+    def parse(text: str) -> list:
+        return [cast(v) for v in text.split(",") if v]
+
+    parse.__name__ = f"comma-separated {cast.__name__}"
+    return parse
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
@@ -480,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="run study arms with shared seeds")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--arms", default="1,2,3,4,5,6,7,8")
+    p.add_argument("--arms", type=_comma_list(int), default=list(range(1, 9)))
     p.add_argument("--runs", type=int, default=5)
     _add_train_flags(p)
 
@@ -489,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--arm", type=int, choices=range(1, 9), default=8)
     p.add_argument("--sweep", choices=("count", "threshold"), required=True)
-    p.add_argument("--grid", default=None,
+    p.add_argument("--grid", type=_comma_list(float), default=None,
                    help="comma-separated values; defaults to 1..8 or 0.6,0.7,0.8,0.9")
     p.add_argument("--runs", type=int, default=1)
     _add_train_flags(p)
@@ -538,21 +522,21 @@ def _dispatch(args) -> None:
         }
         do_eval(config, out)
     elif args.command == "ablate":
-        arms = [int(a) for a in str(args.arms).split(",") if a]
         config = {
             "data": str(Path(args.data).resolve()),
-            "arms": arms,
+            "arms": args.arms,
             "seeds": [args.seed + i for i in range(args.runs)],
             "train": train_config_to_dict(_train_config_from_args(args)),
         }
         do_ablate(config, out)
     elif args.command == "sweep":
-        if args.grid is not None:
-            grid = [float(v) for v in str(args.grid).split(",") if v]
-            if args.sweep == "count":
-                grid = [int(v) for v in grid]
-        else:
+        grid = args.grid
+        if grid is None:
             grid = list(range(1, 9)) if args.sweep == "count" else [0.6, 0.7, 0.8, 0.9]
+        elif args.sweep == "count":
+            if not all(v.is_integer() for v in grid):
+                raise ConfigError(f"a count sweep takes whole numbers, got {grid}")
+            grid = [int(v) for v in grid]
         config = {
             "data": str(Path(args.data).resolve()),
             "arm": args.arm,

@@ -95,7 +95,9 @@ class Dataset:
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def split_samples(self, name: str) -> list[EgoSample]:
-        return [self.samples[i] for i in self.splits.get(name, [])]
+        if not self.splits.get(name):
+            raise DataError(f"dataset has no '{name}' split")
+        return [self.samples[i] for i in self.splits[name]]
 
 
 def degree_vector(g: UndirectedGraph) -> np.ndarray:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from egoinf.ablation import MetricsReport, RunRecord, run_ablation
+from egoinf import ablation
+from egoinf.ablation import MetricsReport, RunRecord, run_ablation, run_arm
 from egoinf.augment import AugmentationConfig
 from egoinf.cascade import CascadeConfig, generate_dataset
-from egoinf.errors import ConfigError
+from egoinf.errors import ConfigError, DataError
 from egoinf.features import DeepWalkConfig
+from egoinf.graphs import Dataset
 from egoinf.training import AblationConfig, ModelConfig, TrainConfig
 
 DATASET = generate_dataset(
@@ -28,7 +30,8 @@ def tiny_config():
 class TestReportShape:
     def test_two_arms_two_runs(self):
         report = run_ablation(
-            DATASET, tiny_config(), [AblationConfig.from_arm(1), AblationConfig.from_arm(2)], runs=2
+            DATASET, tiny_config(), [AblationConfig.from_arm(1), AblationConfig.from_arm(2)],
+            seeds=[100, 101],
         )
         assert len(report.records) == 4
         assert {r.arm for r in report.records} == {1, 2}
@@ -42,12 +45,49 @@ class TestReportShape:
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             run_ablation(
-                DATASET, tiny_config(), [AblationConfig.from_arm(1)], runs=2, seeds=[7, 7]
+                DATASET, tiny_config(), [AblationConfig.from_arm(1)], seeds=[7, 7]
             )
 
     def test_empty_arm_list_rejected(self):
         with pytest.raises(ConfigError):
-            run_ablation(DATASET, tiny_config(), [], runs=1)
+            run_ablation(DATASET, tiny_config(), [], seeds=[100])
+
+
+class TestSharedAugmenter:
+    @pytest.fixture
+    def pretrain_calls(self, monkeypatch):
+        calls = []
+        real = ablation.pretrain_augmenter
+
+        def counting(samples, cfg, store, seed):
+            calls.append(seed)
+            return real(samples, cfg, store, seed)
+
+        monkeypatch.setattr(ablation, "pretrain_augmenter", counting)
+        return calls
+
+    def test_one_pretraining_per_seed_and_records_match_run_arm(self, pretrain_calls):
+        arms = [AblationConfig.from_arm(a) for a in range(1, 9)]
+        report = run_ablation(DATASET, tiny_config(), arms, seeds=[100, 101])
+        assert pretrain_calls == [100, 101]
+        del pretrain_calls[:]
+        alone = [
+            run_arm(DATASET, tiny_config(), abl, seed) for seed in (100, 101) for abl in arms
+        ]
+        assert len(pretrain_calls) == 12  # arms 3-8 pretrain their own augmenter
+        assert report.records == alone
+
+    def test_arms_without_augmentation_never_pretrain(self, pretrain_calls):
+        arms = [AblationConfig.from_arm(1), AblationConfig.from_arm(2)]
+        run_ablation(DATASET, tiny_config(), arms, seeds=[100])
+        assert pretrain_calls == []
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_empty_split_fails_before_pretraining(self, pretrain_calls, split):
+        empty = Dataset(DATASET.samples, {**DATASET.splits, split: []}, DATASET.metadata)
+        with pytest.raises(DataError, match=f"dataset has no '{split}' split"):
+            run_ablation(empty, tiny_config(), [AblationConfig.from_arm(8)], seeds=[100])
+        assert pretrain_calls == []
 
 
 class TestReportMath:

@@ -395,3 +395,122 @@ def test_rerun_is_bit_exact_across_blas_thread_counts(tmp_path):
     out = cli(2, "rerun", "--manifest", str(train / "manifest.json"),
               "--out", str(tmp_path / "rerun"))
     assert "rerun model.ckpt: ok" in out and "mismatch" not in out
+
+
+def _exit_code(argv) -> int:
+    """main's return value, or the status of an argparse usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestRerunFold:
+    def test_sweep_rerun_is_bit_exact(self, synth_dir, tmp_path):
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep", "--data", str(synth_dir / "dataset.jsonl"), "--out", str(out),
+            "--sweep", "count", "--grid", "0,1", "--runs", "2", "--seed", "44",
+            *FAST_TRAIN_FLAGS,
+        ])
+        assert code == 0
+        redo = tmp_path / "redo"
+        assert main(["rerun", "--manifest", str(out / "manifest.json"), "--out", str(redo)]) == 0
+        assert (out / "sweep.jsonl").read_bytes() == (redo / "sweep.jsonl").read_bytes()
+
+    def test_train_eval_rerun_is_bit_exact(self, synth_dir, tmp_path, capsys):
+        data = str(synth_dir / "dataset.jsonl")
+        train, evaluated = tmp_path / "train", tmp_path / "eval"
+        assert main(["train", "--data", data, "--out", str(train), "--arm", "5",
+                     "--seed", "12", *FAST_TRAIN_FLAGS]) == 0
+        assert main(["eval", "--data", data, "--out", str(evaluated),
+                     "--model-ckpt", str(train / "model.ckpt"),
+                     "--vgae", str(train / "vgae.ckpt")]) == 0
+        for first in (train, evaluated):
+            redo = tmp_path / f"redo-{first.name}"
+            code = main(["rerun", "--manifest", str(first / "manifest.json"), "--out", str(redo)])
+            assert code == 0
+            names = json.loads((first / "manifest.json").read_text())["outputs"]
+            assert names
+            for name in names:
+                assert (first / name).read_bytes() == (redo / name).read_bytes()
+        assert "mismatch" not in capsys.readouterr().out
+
+
+DAMAGED_MANIFESTS = {
+    "missing file": None,
+    "truncated": '{"command": "train", "config": {',
+    "no config": '{"command": "train"}',
+    "json list": '["train"]',
+    "unknown command": '{"command": "fit", "config": {}, "outputs": {}}',
+    "unhashable command": '{"command": ["train"], "config": {}, "outputs": {}}',
+    "config not an object": '{"command": "train", "config": [], "outputs": {}}',
+    "outputs not an object": '{"command": "train", "config": {}, "outputs": "x"}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_MANIFESTS))
+def test_damaged_manifest_exits_3(tmp_path, capsys, case):
+    manifest = tmp_path / "manifest.json"
+    if DAMAGED_MANIFESTS[case] is not None:
+        manifest.write_text(DAMAGED_MANIFESTS[case])
+    assert main(["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 3
+    assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ablate", "--arms", "1,x"],
+    ["sweep", "--sweep", "threshold", "--grid", "abc"],
+    ["sweep", "--sweep", "count", "--grid", "1.5"],
+])
+def test_malformed_list_flag_exits_2(synth_dir, tmp_path, argv):
+    data = ["--data", str(synth_dir / "dataset.jsonl"), "--out", str(tmp_path / "o")]
+    assert _exit_code([*argv, *data, *FAST_TRAIN_FLAGS]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture
+def no_pretraining(monkeypatch):
+    from egoinf import ablation, cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the augmenter was pretrained")
+
+    monkeypatch.setattr(ablation, "pretrain_augmenter", fail)
+    monkeypatch.setattr(cli, "pretrain_augmenter", fail)
+
+
+def test_negative_count_in_grid_exits_2_before_pretraining(synth_dir, tmp_path, no_pretraining):
+    code = main([
+        "sweep", "--data", str(synth_dir / "dataset.jsonl"), "--out", str(tmp_path / "o"),
+        "--sweep", "count", "--grid", "1,-1", *FAST_TRAIN_FLAGS,
+    ])
+    assert code == 2
+
+
+@pytest.mark.parametrize("command,split", [
+    ("train", "train"),
+    ("eval", "test"),
+    ("ablate", "train"),
+    ("ablate", "test"),
+    ("sweep", "train"),
+    ("sweep", "test"),
+])
+def test_empty_split_exits_3(
+    synth_dir, trained_dir, tmp_path, capsys, no_pretraining, command, split
+):
+    data = tmp_path / "dataset.jsonl"
+    data.write_bytes((synth_dir / "dataset.jsonl").read_bytes())
+    splits = json.loads((synth_dir / "dataset.jsonl.splits.json").read_text())
+    splits[split] = []
+    (tmp_path / "dataset.jsonl.splits.json").write_text(json.dumps(splits))
+    flags = {
+        "train": FAST_TRAIN_FLAGS,
+        "eval": ["--model-ckpt", str(trained_dir / "model.ckpt"),
+                 "--vgae", str(trained_dir / "vgae.ckpt")],
+        "ablate": ["--arms", "1,8", "--runs", "1", *FAST_TRAIN_FLAGS],
+        "sweep": ["--sweep", "count", "--grid", "1", *FAST_TRAIN_FLAGS],
+    }[command]
+    code = main([command, "--data", str(data), "--out", str(tmp_path / "o"), *flags])
+    assert code == 3
+    assert f"dataset has no '{split}' split" in capsys.readouterr().err
