@@ -148,6 +148,8 @@ def run_ablation(
     whose training reads no arm switch."""
     if not arms:
         raise ConfigError("run_ablation: no arms given")
+    if not seeds:
+        raise ConfigError("run_ablation: no run seeds given")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"duplicate run seeds rejected: {seeds}")
     train_samples = dataset.split_samples("train")

@@ -272,29 +272,6 @@ class Tape:
         y = np.exp(a.values)
         return self._record(y, (a,), lambda g: (g * y,))
 
-    def row_softmax_masked(self, a: Tensor, mask: np.ndarray) -> Tensor:
-        """Softmax per row restricted to mask=1 entries; masked entries are 0.
-
-        Every row must have at least one unmasked entry.
-        """
-        m = np.asarray(mask)
-        if m.shape != a.shape:
-            raise DimensionError(f"row_softmax_masked: {a.shape} vs mask {m.shape}")
-        keep = m != 0
-        if not keep.any(axis=1).all():
-            bad = int(np.flatnonzero(~keep.any(axis=1))[0])
-            raise ConfigError(f"masked softmax: row {bad} fully masked")
-        x = np.where(keep, a.values, -np.inf)
-        x = x - x.max(axis=1, keepdims=True)
-        e = np.where(keep, np.exp(x), 0.0)
-        alpha = e / e.sum(axis=1, keepdims=True)
-
-        def bw(g):
-            dot = (g * alpha).sum(axis=1, keepdims=True)
-            return (alpha * (g - dot),)
-
-        return self._record(alpha, (a,), bw)
-
     def gat_heads(
         self, hw: Tensor, att: Tensor, mask: np.ndarray, heads: int, slope: float
     ) -> Tensor:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Tensor
-from .errors import ConfigError, DivergenceError, NumericsError
+from .errors import ConfigError
 from .layers import glorot, normalized_adjacency
-from .optim import Adagrad
+from .optim import Adagrad, mean_gradient_step
 from .rng import stream
 
 LOGVAR_CLAMP = 10.0  # |log variance| bound, guards exp overflow
@@ -136,8 +136,6 @@ def kld(tape: Tape, mu: Tensor, logvar: Tensor) -> Tensor:
 class AutoencTrainConfig:
     epochs: int = 200
     lr: float = 0.05
-    weight_decay: float = 0.0
-    eps: float = 1e-10
     seed: int = 0
 
 
@@ -152,72 +150,55 @@ def _prepare_graphs(data) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     return prepared
 
 
+def _fit(model, data, cfg: AutoencTrainConfig, name: str, loss_of):
+    """Full-batch Adagrad over the graphs, one step per epoch. loss_of(tape,
+    (index, graph)) returns the loss node and its parts by name; each trace
+    row holds the parts' means over the graphs and their sum as total."""
+    if not data:
+        raise ConfigError(f"train_{name.lower()}: empty dataset")
+    graphs = list(enumerate(_prepare_graphs(data)))
+    opt = Adagrad(model.parameters(), lr=cfg.lr)
+
+    def diverged(_, exc):
+        return f"{name} diverged at epoch {epoch}: {exc}"
+
+    trace: list[dict[str, float]] = []
+    for epoch in range(cfg.epochs):
+        sums: dict[str, float] = {}
+        for record in mean_gradient_step(opt, graphs, loss_of, diverged):
+            for key, value in record.items():
+                sums[key] = sums.get(key, 0.0) + value
+        sums["total"] = sum(sums.values())
+        trace.append({key: value / len(graphs) for key, value in sums.items()})
+    return model, trace
+
+
 def train_vgae(model: VgaeModel, data, cfg: AutoencTrainConfig):
     """Fit the VGAE on (features, adjacency) pairs with the reconstruction
     plus KL loss. Returns (model, trace) where trace has one dict per epoch
     with keys ce, kld, total."""
-    if not data:
-        raise ConfigError("train_vgae: empty dataset")
-    prepared = _prepare_graphs(data)
-    opt = Adagrad(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay, eps=cfg.eps)
-    trace: list[dict[str, float]] = []
-    for epoch in range(cfg.epochs):
-        total_ce = total_kl = 0.0
-        grads: dict[str, np.ndarray] = {}
-        for gi, (x, adj, a_hat) in enumerate(prepared):
-            tape = Tape()
-            # one fixed noise draw per graph: traces are reproducible and a
-            # frozen model yields a frozen loss trace
-            eps_rng = stream(cfg.seed, "vgae-eps", gi)
-            try:
-                z, mu, logvar = vgae_encode(
-                    tape, model, tape.leaf(x), tape.leaf(a_hat), rng=eps_rng
-                )
-                ce = reconstruction_ce(tape, inner_product_decode(tape, z), adj)
-                kl = kld(tape, mu, logvar)
-                loss = tape.add(ce, kl)
-                tape.backward(loss)
-            except NumericsError as exc:
-                raise DivergenceError(f"VGAE diverged at epoch {epoch}: {exc}") from exc
-            total_ce += float(ce.values[0, 0])
-            total_kl += float(kl.values[0, 0])
-            for name, arr in model.parameters().items():
-                g = tape.grad(arr)
-                grads[name] = grads.get(name, 0.0) + g
-        count = len(prepared)
-        opt.step({k: v / count for k, v in grads.items()})
-        trace.append(
-            {
-                "ce": total_ce / count,
-                "kld": total_kl / count,
-                "total": (total_ce + total_kl) / count,
-            }
-        )
-    return model, trace
+
+    def loss_of(tape, item):
+        gi, (x, adj, a_hat) = item
+        # one fixed noise draw per graph: traces are reproducible and a
+        # frozen model yields a frozen loss trace
+        eps_rng = stream(cfg.seed, "vgae-eps", gi)
+        z, mu, logvar = vgae_encode(tape, model, tape.leaf(x), tape.leaf(a_hat), rng=eps_rng)
+        ce = reconstruction_ce(tape, inner_product_decode(tape, z), adj)
+        kl = kld(tape, mu, logvar)
+        return tape.add(ce, kl), {"ce": float(ce.values[0, 0]), "kld": float(kl.values[0, 0])}
+
+    return _fit(model, data, cfg, "VGAE", loss_of)
 
 
 def train_gae(model: GaeModel, data, cfg: AutoencTrainConfig):
-    """Fit a plain GAE with the reconstruction loss only."""
-    if not data:
-        raise ConfigError("train_gae: empty dataset")
-    prepared = _prepare_graphs(data)
-    opt = Adagrad(model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay, eps=cfg.eps)
-    trace: list[dict[str, float]] = []
-    for epoch in range(cfg.epochs):
-        total_ce = 0.0
-        grads: dict[str, np.ndarray] = {}
-        for x, adj, a_hat in prepared:
-            tape = Tape()
-            try:
-                z = gae_encode(tape, model, tape.leaf(x), tape.leaf(a_hat))
-                ce = reconstruction_ce(tape, inner_product_decode(tape, z), adj)
-                tape.backward(ce)
-            except NumericsError as exc:
-                raise DivergenceError(f"GAE diverged at epoch {epoch}: {exc}") from exc
-            total_ce += float(ce.values[0, 0])
-            for name, arr in model.parameters().items():
-                grads[name] = grads.get(name, 0.0) + tape.grad(arr)
-        count = len(prepared)
-        opt.step({k: v / count for k, v in grads.items()})
-        trace.append({"ce": total_ce / count, "total": total_ce / count})
-    return model, trace
+    """Fit a plain GAE with the reconstruction loss only. Trace rows have
+    keys ce and total."""
+
+    def loss_of(tape, item):
+        _, (x, adj, a_hat) = item
+        z = gae_encode(tape, model, tape.leaf(x), tape.leaf(a_hat))
+        ce = reconstruction_ce(tape, inner_product_decode(tape, z), adj)
+        return ce, {"ce": float(ce.values[0, 0])}
+
+    return _fit(model, data, cfg, "GAE", loss_of)

@@ -16,11 +16,13 @@ import dataclasses
 import hashlib
 import json
 import sys
+import types
+import typing
 from pathlib import Path
 
 from .ablation import fit_arm, run_ablation, run_arm, score_arm
 from .augment import AugmentationConfig, generate_augmentations
-from .autoenc import VgaeModel
+from .autoenc import LOGVAR_CLAMP, VgaeModel
 from .cascade import CascadeConfig, generate_dataset
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, DivergenceError, NumericsError
@@ -173,7 +175,7 @@ def save_vgae(path: Path, vgae: VgaeModel, cfg: TrainConfig) -> None:
         "in_width": vgae.in_width,
         "hidden": vgae.w0.shape[1],
         "embed_dim": vgae.d,
-        "logvar_clamp": 10.0,
+        "logvar_clamp": LOGVAR_CLAMP,
         "seed": cfg.seed,
     }
     save_checkpoint(path, vgae.parameters(), meta)
@@ -353,6 +355,48 @@ _COMMANDS = {
 }
 
 
+# The JSON shape of each command's config as _dispatch writes it. A
+# dataclass stands for an object with exactly its fields; lists are non-empty.
+_CONFIG_SHAPES = {
+    "synth": {"cascade": CascadeConfig},
+    "train": {"data": str, "arm": int, "train": TrainConfig},
+    "eval": {"data": str, "model_ckpt": str, "vgae_ckpt": str | None,
+             "arm": int | None, "split": str},
+    "ablate": {"data": str, "arms": list[int], "seeds": list[int], "train": TrainConfig},
+    "sweep": {"data": str, "arm": int, "mode": str, "grid": list[float],
+              "seeds": list[int], "train": TrainConfig},
+}
+
+
+def _shape_problem(value, shape, where: str) -> str | None:
+    """How value departs from shape (see _CONFIG_SHAPES), or None."""
+    if dataclasses.is_dataclass(shape):
+        hints = typing.get_type_hints(shape)
+        shape = {f.name: hints[f.name] for f in dataclasses.fields(shape)}
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            return f"{where} is not a JSON object"
+        if set(value) != set(shape):
+            missing, unexpected = sorted(set(shape) - set(value)), sorted(set(value) - set(shape))
+            return f"{where} has missing keys {missing}, unexpected keys {unexpected}"
+        problems = (_shape_problem(value[k], sub, f"{where}.{k}") for k, sub in shape.items())
+        return next((p for p in problems if p), None)
+    if typing.get_origin(shape) is list:
+        if not isinstance(value, list) or not value:
+            return f"{where} is not a non-empty list"
+        (item,) = typing.get_args(shape)
+        problems = (_shape_problem(v, item, f"{where}[{i}]") for i, v in enumerate(value))
+        return next((p for p in problems if p), None)
+    if isinstance(shape, types.UnionType):
+        if any(_shape_problem(value, alt, where) is None for alt in typing.get_args(shape)):
+            return None
+        return f"{where} is not {shape}"
+    allowed = (int, float) if shape is float else shape  # 1 is a valid float
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        return f"{where} is not {shape.__name__}"
+    return None
+
+
 def do_rerun(manifest_path: Path, out: Path) -> None:
     try:
         manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
@@ -363,9 +407,11 @@ def do_rerun(manifest_path: Path, out: Path) -> None:
     command = manifest.get("command")
     if not isinstance(command, str) or command not in _COMMANDS:
         raise DataError(f"{manifest_path}: manifest names unknown command {command!r}")
-    for key in ("config", "outputs"):
-        if not isinstance(manifest.get(key), dict):
-            raise DataError(f"{manifest_path}: manifest '{key}' is not a JSON object")
+    if not isinstance(manifest.get("outputs"), dict):
+        raise DataError(f"{manifest_path}: manifest 'outputs' is not a JSON object")
+    problem = _shape_problem(manifest.get("config"), _CONFIG_SHAPES[command], "config")
+    if problem:
+        raise DataError(f"{manifest_path}: manifest {problem}")
     _COMMANDS[command](manifest["config"], out)
     fresh = json.loads((out / MANIFEST_NAME).read_text(encoding="utf-8"))
     mismatched = [
@@ -486,6 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args) -> None:
     out = Path(args.out) if hasattr(args, "out") else None
+    if getattr(args, "runs", 1) < 1:
+        raise ConfigError(f"--runs must be at least 1, got {args.runs}")
     if args.command == "synth":
         config = {
             "cascade": dataclasses.asdict(

@@ -1,4 +1,5 @@
-"""Adagrad with decoupled-into-gradient weight decay.
+"""Adagrad with decoupled-into-gradient weight decay, and the one
+gradient step every trainer in the package takes.
 
 Update per parameter matrix: g <- grad + wd * p, acc <- acc + g*g,
 p <- p - lr * g / (sqrt(acc) + eps). Accumulators never decrease, so the
@@ -6,9 +7,12 @@ effective step size shrinks over time coordinate-wise.
 """
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .autodiff import Tape
+from .errors import ConfigError, DimensionError, DivergenceError, NumericsError
 
 
 class Adagrad:
@@ -41,3 +45,30 @@ class Adagrad:
                 g = g + self.weight_decay * p
             self.acc[name] += g * g
             p -= self.lr * g / (np.sqrt(self.acc[name]) + self.eps)
+
+
+def mean_gradient_step(
+    opt: Adagrad, items: Sequence, loss_of: Callable, diverged: Callable[..., str]
+) -> list:
+    """One ``opt`` step on the mean gradient of per-item losses.
+
+    Each item gets a fresh tape: ``loss_of(tape, item)`` returns the scalar
+    loss node and a record of its parts, and the loss is differentiated.
+    Gradients of ``opt.params`` are summed in item order. A non-finite
+    value on the way raises ``DivergenceError(diverged(item, exc))``.
+    Returns the records in item order.
+    """
+    grads: dict[str, np.ndarray] = {}
+    records = []
+    for item in items:
+        tape = Tape()
+        try:
+            loss, record = loss_of(tape, item)
+            tape.backward(loss)
+        except NumericsError as exc:
+            raise DivergenceError(diverged(item, exc)) from exc
+        records.append(record)
+        for name, arr in opt.params.items():
+            grads[name] = grads.get(name, 0.0) + tape.grad(arr)
+    opt.step({k: v / len(records) for k, v in grads.items()})
+    return records

@@ -24,7 +24,7 @@ from .autoenc import (
     reconstruction_ce,
     train_gae,
 )
-from .errors import ConfigError, DivergenceError, NumericsError
+from .errors import ConfigError
 from .features import DeepWalkConfig, FeatureBundle, FeatureStore, feature_width
 from .graphs import EgoSample
 from .layers import (
@@ -34,7 +34,7 @@ from .layers import (
     prediction_forward,
     softmax_row,
 )
-from .optim import Adagrad
+from .optim import Adagrad, mean_gradient_step
 from .rng import derive_seed, stream
 
 ARM_FLAGS: dict[int, tuple[bool, bool, bool]] = {
@@ -214,70 +214,48 @@ def train_joint(
         else list(samples)
     )
 
-    frozen_z: dict[str, np.ndarray] = {}
     if not abl.joint:
-        data = [
-            (store.bundle(s).encoder_input, store.bundle(s).adjacency) for s in samples
-        ]
-        pre = AutoencTrainConfig(
-            epochs=cfg.pretrain_epochs,
-            lr=cfg.pretrain_lr,
-            seed=derive_seed(cfg.seed, "gae-pretrain"),
-        )
-        train_gae(model.gae, data, pre)
+        _pretrain(train_gae, model.gae, samples, cfg, store, cfg.seed, "gae")
 
     params = model.parameters(include_gae=abl.joint)
     opt = Adagrad(params, cfg.lr, weight_decay=cfg.weight_decay, eps=cfg.adagrad_eps)
+    frozen_z: dict[str, np.ndarray] = {}
+
+    # loss_of and diverged read the current epoch of the loop below
+    def loss_of(tape, s):
+        fb = store.bundle(s)
+        if not abl.joint and s.sample_id not in frozen_z:
+            frozen_z[s.sample_id] = frozen_encode(model.gae, fb)
+        drop_rng = (
+            stream(cfg.seed, "dropout", epoch, s.sample_id) if cfg.dropout > 0 else None
+        )
+        loss, nll_v, recon_v = sample_loss(
+            tape, model, s, fb, abl.joint, drop_rng, frozen_z.get(s.sample_id)
+        )
+        return loss, (float(loss.values[0, 0]), nll_v, recon_v)
+
+    def diverged(s, _):
+        return f"non-finite loss at epoch {epoch}, sample {s.sample_id}"
+
     trace: list[dict[str, float]] = []
     n_eff = len(effective)
     for epoch in range(cfg.epochs):
         if cfg.batch_size is None:
-            batches = [list(range(n_eff))]
+            batches = [effective]
         else:
             order = stream(cfg.seed, "shuffle", epoch).permutation(n_eff).tolist()
             batches = [
-                order[i : i + cfg.batch_size]
-                for i in range(0, n_eff, cfg.batch_size)
+                [effective[i] for i in order[lo : lo + cfg.batch_size]]
+                for lo in range(0, n_eff, cfg.batch_size)
             ]
         epoch_loss = epoch_nll = epoch_recon = 0.0
         for batch in batches:
-            grads: dict[str, np.ndarray] = {}
-            for i in batch:
-                s = effective[i]
-                fb = store.bundle(s)
-                if not abl.joint and s.sample_id not in frozen_z:
-                    frozen_z[s.sample_id] = frozen_encode(model.gae, fb)
-                drop_rng = (
-                    stream(cfg.seed, "dropout", epoch, s.sample_id)
-                    if cfg.dropout > 0
-                    else None
-                )
-                tape = Tape()
-                try:
-                    loss, nll_v, recon_v = sample_loss(
-                        tape, model, s, fb, abl.joint, drop_rng,
-                        frozen_z.get(s.sample_id),
-                    )
-                    tape.backward(loss)
-                except NumericsError as exc:
-                    raise DivergenceError(
-                        f"non-finite loss at epoch {epoch}, sample {s.sample_id}"
-                    ) from exc
-                epoch_loss += float(loss.values[0, 0])
+            for loss_v, nll_v, recon_v in mean_gradient_step(opt, batch, loss_of, diverged):
+                epoch_loss += loss_v
                 epoch_nll += nll_v
                 epoch_recon += recon_v
-                for name, arr in params.items():
-                    g = tape.grad(arr)
-                    grads[name] = grads.get(name, 0.0) + g
-            opt.step({k: v / len(batch) for k, v in grads.items()})
-        trace.append(
-            {
-                "epoch": epoch,
-                "loss": epoch_loss / n_eff,
-                "nll": epoch_nll / n_eff,
-                "recon": epoch_recon / n_eff,
-            }
-        )
+        trace.append({"epoch": epoch, "loss": epoch_loss / n_eff,
+                      "nll": epoch_nll / n_eff, "recon": epoch_recon / n_eff})
     return model, trace
 
 
@@ -315,6 +293,18 @@ def predict(
     return average_class1(probs)
 
 
+def _pretrain(fit, model, samples, cfg: TrainConfig, store, seed: int, name: str):
+    """Fit an autoencoder on the samples' graphs with the run's pretraining
+    settings and the seed keyed '<name>-pretrain'."""
+    data = [(store.bundle(s).encoder_input, store.bundle(s).adjacency) for s in samples]
+    pre = AutoencTrainConfig(
+        epochs=cfg.pretrain_epochs,
+        lr=cfg.pretrain_lr,
+        seed=derive_seed(seed, f"{name}-pretrain"),
+    )
+    return fit(model, data, pre)
+
+
 def pretrain_augmenter(
     samples: list[EgoSample], cfg: TrainConfig, store: FeatureStore, seed: int
 ) -> VgaeModel:
@@ -327,13 +317,7 @@ def pretrain_augmenter(
         cfg.model.embed_dim,
         stream(seed, "init", "vgae"),
     )
-    data = [(store.bundle(s).encoder_input, store.bundle(s).adjacency) for s in samples]
-    pre = AutoencTrainConfig(
-        epochs=cfg.pretrain_epochs,
-        lr=cfg.pretrain_lr,
-        seed=derive_seed(seed, "vgae-pretrain"),
-    )
-    train_vgae(vgae, data, pre)
+    _pretrain(train_vgae, vgae, samples, cfg, store, seed, "vgae")
     return vgae
 
 

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 
+from egoinf.errors import ConfigError, DimensionError
+
 
 def random_adjacency(n, rng, p=0.4):
     a = (rng.random((n, n)) < p).astype(float)
@@ -60,6 +62,31 @@ def gat_head(layer, k):
     return layer.weight[:, k * fp : (k + 1) * fp], layer.att[:, k : k + 1]
 
 
+def row_softmax_masked(tape, a, mask):
+    """Softmax per row restricted to mask=1 entries, masked entries 0, as a
+    node on tape: the generic primitive the per-head GAT reference uses.
+
+    Every row must have at least one unmasked entry.
+    """
+    m = np.asarray(mask)
+    if m.shape != a.shape:
+        raise DimensionError(f"row_softmax_masked: {a.shape} vs mask {m.shape}")
+    keep = m != 0
+    if not keep.any(axis=1).all():
+        bad = int(np.flatnonzero(~keep.any(axis=1))[0])
+        raise ConfigError(f"masked softmax: row {bad} fully masked")
+    x = np.where(keep, a.values, -np.inf)
+    x = x - x.max(axis=1, keepdims=True)
+    e = np.where(keep, np.exp(x), 0.0)
+    alpha = e / e.sum(axis=1, keepdims=True)
+
+    def bw(g):
+        dot = (g * alpha).sum(axis=1, keepdims=True)
+        return (alpha * (g - dot),)
+
+    return tape._record(alpha, (a,), bw)
+
+
 def oracle_gat_chain(tape, layer, h, adj):
     """A GAT layer built head by head from generic tape primitives: head k
     as column block k of the stacked weight and attention matrices, slices
@@ -80,7 +107,7 @@ def oracle_gat_chain(tape, layer, h, adj):
             tape.matmul(f, tape.leaf(np.ones((1, n)))),
             tape.matmul(tape.leaf(np.ones((n, 1))), tape.transpose(g)),
         )
-        alpha = tape.row_softmax_masked(tape.leaky_relu(scores, layer.slope), mask)
+        alpha = row_softmax_masked(tape, tape.leaky_relu(scores, layer.slope), mask)
         outputs.append(tape.matmul(alpha, hw))
     if layer.concat:
         out = tape.concat_cols(outputs)

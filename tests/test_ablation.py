@@ -42,6 +42,10 @@ class TestReportShape:
         deltas = report.paired_deltas(1)
         assert set(deltas) == {2}
 
+    def test_empty_seed_list_rejected(self):
+        with pytest.raises(ConfigError, match="no run seeds"):
+            run_ablation(DATASET, tiny_config(), [AblationConfig.from_arm(1)], seeds=[])
+
     def test_duplicate_seeds_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             run_ablation(

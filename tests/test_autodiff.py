@@ -6,6 +6,8 @@ import pytest
 from egoinf.autodiff import Tape, grad_check
 from egoinf.errors import ConfigError, DimensionError, NumericsError
 
+from .oracles import row_softmax_masked
+
 
 def toy(shape, seed=0):
     return np.random.default_rng(seed).standard_normal(shape)
@@ -20,7 +22,7 @@ class TestPrimitiveValues:
     def test_masked_softmax_equal_logits(self):
         t = Tape()
         mask = np.array([[1.0, 1.0, 1.0, 0.0]])
-        out = t.row_softmax_masked(t.leaf(np.zeros((1, 4))), mask)
+        out = row_softmax_masked(t, t.leaf(np.zeros((1, 4))), mask)
         np.testing.assert_allclose(out.values, [[1 / 3, 1 / 3, 1 / 3, 0.0]])
 
     def test_elu_at_minus_one(self):
@@ -35,14 +37,14 @@ class TestPrimitiveValues:
             mask = (rng.random((n, n)) < 0.5).astype(float)
             np.fill_diagonal(mask, 1.0)  # keep every row attendable
             t = Tape()
-            out = t.row_softmax_masked(t.leaf(rng.standard_normal((n, n))), mask)
+            out = row_softmax_masked(t, t.leaf(rng.standard_normal((n, n))), mask)
             np.testing.assert_allclose(out.values.sum(axis=1), np.ones(n), atol=1e-12)
             assert (out.values[mask == 0] == 0.0).all()
 
     def test_masked_softmax_rejects_fully_masked_row(self):
         t = Tape()
         with pytest.raises(ConfigError, match="row 1"):
-            t.row_softmax_masked(t.leaf(np.zeros((2, 2))), np.array([[1.0, 0.0], [0.0, 0.0]]))
+            row_softmax_masked(t, t.leaf(np.zeros((2, 2))), np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_gat_heads_rejects_fully_masked_row_and_bad_shapes(self):
         t = Tape()
@@ -142,7 +144,7 @@ def composite_loss(params, x, mask, drop=None):
     v = t.leaf(params["v"])
     h = t.elu(t.matmul(t.leaf(x), w))
     h = t.hadamard(h, t.sigmoid(h))
-    att = t.row_softmax_masked(t.matmul(h, t.transpose(h)), mask)
+    att = row_softmax_masked(t, t.matmul(h, t.transpose(h)), mask)
     out = t.matmul(att, t.matmul(h, v))
     z = t.concat_cols([out, t.leaky_relu(out, 0.2)])
     z = t.slice_cols(z, 0, z.cols - 1)
@@ -267,7 +269,7 @@ class TestGradCheck:
             h = t.sigmoid(t.matmul(t.leaf(x), w))
             h = t.hadamard(h, h)
             h = t.dropout(h, 0.3, np.random.default_rng(drop_seed))
-            att = t.row_softmax_masked(t.matmul(h, t.transpose(h)), mask)
+            att = row_softmax_masked(t, t.matmul(h, t.transpose(h)), mask)
             out = t.matmul(att, t.matmul(h, v))
             z = t.concat_cols([out, t.scale(out, -1.5)])
             z = t.slice_cols(z, 0, z.cols - 1)

@@ -255,16 +255,24 @@ class TestTraining:
         _, trace = train_gae(model, [(None, adj)], AutoencTrainConfig(epochs=150, lr=0.1))
         assert trace[-1]["ce"] < trace[0]["ce"]
 
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(ConfigError):
-            train_vgae(VgaeModel.create(2, 2, 2, rng_for(4)), [], AutoencTrainConfig())
+    @pytest.mark.parametrize(
+        "train,model_cls", [(train_gae, GaeModel), (train_vgae, VgaeModel)], ids=["gae", "vgae"]
+    )
+    def test_empty_dataset_rejected(self, train, model_cls):
+        with pytest.raises(ConfigError, match=f"^{train.__name__}: empty dataset$"):
+            train(model_cls.create(2, 2, 2, rng_for(4)), [], AutoencTrainConfig())
 
-    def test_divergence_aborts_with_epoch_index(self):
+    @pytest.mark.parametrize(
+        "train,model_cls,name",
+        [(train_gae, GaeModel, "GAE"), (train_vgae, VgaeModel, "VGAE")],
+        ids=["gae", "vgae"],
+    )
+    def test_divergence_aborts_with_epoch_index(self, train, model_cls, name):
         from egoinf.errors import DivergenceError
 
         adj = toy_two_cluster_graph()
-        model = VgaeModel.create(20, 8, 4, rng_for(5))
+        model = model_cls.create(20, 8, 4, rng_for(5))
         model.w0[...] = 1e200  # forces an overflow on the first forward pass
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match="epoch 0"):
-                train_vgae(model, [(None, adj)], AutoencTrainConfig(epochs=3, lr=0.1))
+            with pytest.raises(DivergenceError, match=f"^{name} diverged at epoch 0: "):
+                train(model, [(None, adj)], AutoencTrainConfig(epochs=3, lr=0.1))

@@ -458,6 +458,82 @@ def test_damaged_manifest_exits_3(tmp_path, capsys, case):
     assert "data error" in capsys.readouterr().err
 
 
+def _valid_configs(data: str) -> dict[str, dict]:
+    """One well-formed config per command, in the shape _dispatch writes."""
+    from dataclasses import asdict
+
+    from egoinf.cascade import CascadeConfig
+    from egoinf.training import TrainConfig
+
+    train = asdict(TrainConfig())
+    return {
+        "synth": {"cascade": asdict(CascadeConfig())},
+        "train": {"data": data, "arm": 8, "train": train},
+        "eval": {"data": data, "model_ckpt": "model.ckpt", "vgae_ckpt": None,
+                 "arm": None, "split": "test"},
+        "ablate": {"data": data, "arms": [1, 8], "seeds": [0], "train": train},
+        "sweep": {"data": data, "arm": 8, "mode": "count", "grid": [1], "seeds": [0],
+                  "train": train},
+    }
+
+
+def _damage(config, path, value):
+    """Set (or, for value None, delete) the field at a dotted path."""
+    *outer, last = path.split(".")
+    for key in outer:
+        config = config[key]
+    if value is None:
+        del config[last]
+    else:
+        config[last] = value
+
+
+@pytest.mark.parametrize("command,path,value", [
+    ("synth", "cascade", None),
+    ("train", "train", None),
+    ("eval", "split", None),
+    ("ablate", "seeds", None),
+    ("sweep", "grid", None),
+    ("train", "train.aug", None),
+    ("train", "train.aug.count", "3"),
+    ("train", "train.epochs", 2.5),
+    ("train", "arm", True),
+    ("train", "data", ["x"]),
+    ("eval", "vgae_ckpt", 5),
+    ("ablate", "arms", []),
+    ("sweep", "seeds", "ab"),
+    ("sweep", "grid", ["1"]),
+    ("synth", "cascade.spare", 1),
+])
+def test_damaged_manifest_config_exits_3(
+    synth_dir, tmp_path, capsys, no_pretraining, command, path, value
+):
+    config = _valid_configs(str(synth_dir / "dataset.jsonl"))[command]
+    _damage(config, path, value)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": command, "config": config, "outputs": {}}))
+    assert main(["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 3
+    assert path.split(".")[-1] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_empty_train_config_exits_3(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"command": "train", "config": {}, "outputs": {}}')
+    assert main(["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 3
+    assert "missing keys ['arm', 'data', 'train']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["ablate", "sweep"])
+@pytest.mark.parametrize("runs", ["0", "-1"])
+def test_no_runs_exits_2(synth_dir, tmp_path, no_pretraining, command, runs):
+    flags = ["--sweep", "count", "--grid", "1"] if command == "sweep" else []
+    code = main([command, "--data", str(synth_dir / "dataset.jsonl"),
+                 "--out", str(tmp_path / "o"), "--runs", runs, *flags, *FAST_TRAIN_FLAGS])
+    assert code == 2
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["ablate", "--arms", "1,x"],
     ["sweep", "--sweep", "threshold", "--grid", "abc"],

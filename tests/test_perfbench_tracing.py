@@ -1,0 +1,66 @@
+"""The benchmark's tracer wraps library functions at the module attributes
+listed in perfbench/tracing.py. A refactor that renames a traced function,
+moves a call site or drops an import would otherwise break only the traced
+benchmark run; these tests make it fail here first."""
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import egoinf
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def traced_sites(tracing):
+    """(owner, attribute) of every site the tracer patches, resolved as the
+    tracer resolves them."""
+    return [
+        tracing._resolve(name, path)
+        for path, modules in [*tracing.SPANS.values(), *tracing.COUNTED.values()]
+        for name in modules
+    ]
+
+
+def test_install_wraps_every_site_and_uninstall_restores_it():
+    tracing = load_tracing()
+    sites = traced_sites(tracing)  # raises if a listed site no longer resolves
+    originals = [getattr(owner, attr) for owner, attr in sites]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        wrapped = [getattr(owner, attr) for owner, attr in sites]
+    finally:
+        tracer.uninstall()
+    for (owner, attr), before, during in zip(sites, originals, wrapped):
+        assert during is not before, f"{owner.__name__}.{attr} was not wrapped"
+        assert getattr(owner, attr) is before, f"{owner.__name__}.{attr} was not restored"
+
+
+def test_no_library_module_holds_a_traced_function_at_an_unlisted_site():
+    """A module that holds a traced function by name looks it up there, so
+    the tracer must patch it too; the defining module is exempt unless
+    listed. The CLI front end is out of scope: the benchmark drives the
+    library directly."""
+    tracing = load_tracing()
+    modules = [
+        importlib.import_module(f"egoinf.{info.name}")
+        for info in pkgutil.iter_modules(egoinf.__path__)
+        if info.name != "cli"
+    ]
+    for span, (path, listed) in tracing.SPANS.items():
+        if "." in path:  # a method: patched once, on its class
+            continue
+        fn = getattr(importlib.import_module(listed[0]), path)
+        holders = {
+            m.__name__ for m in modules if any(v is fn for v in vars(m).values())
+        }
+        unlisted = holders - set(listed) - {fn.__module__}
+        assert not unlisted, f"{span}: {sorted(unlisted)} hold {path} but are not traced"
