@@ -14,6 +14,7 @@ from .errors import ConfigError
 from .features import FeatureStore, feature_width
 from .graphs import Dataset, EgoSample
 from .metrics import auc, f1
+from .rng import check_seed
 from .training import (
     AblationConfig,
     JointModel,
@@ -140,6 +141,17 @@ def run_arm(
     return score_arm(model, test_samples, cfg, abl, seed, store, vgae)[1]
 
 
+def check_run_seeds(seeds: list[int]) -> None:
+    """Raise ConfigError unless ``seeds`` is a non-empty list of distinct
+    stream seeds, before a run does any work."""
+    if not seeds:
+        raise ConfigError("no run seeds given")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"duplicate run seeds rejected: {seeds}")
+    for seed in seeds:
+        check_seed(seed, "run seeds")
+
+
 def run_ablation(
     dataset: Dataset, cfg: TrainConfig, arms: list[AblationConfig], seeds: list[int]
 ) -> MetricsReport:
@@ -148,10 +160,7 @@ def run_ablation(
     whose training reads no arm switch."""
     if not arms:
         raise ConfigError("run_ablation: no arms given")
-    if not seeds:
-        raise ConfigError("run_ablation: no run seeds given")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"duplicate run seeds rejected: {seeds}")
+    check_run_seeds(seeds)
     train_samples = dataset.split_samples("train")
     dataset.split_samples("test")  # an empty test split fails before any work
     augments = any(abl.train_aug or abl.test_aug for abl in arms)

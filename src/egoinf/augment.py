@@ -16,7 +16,7 @@ from .autoenc import VgaeModel, inner_product_decode, vgae_encode
 from .errors import ConfigError
 from .graphs import EgoSample, UndirectedGraph
 from .layers import normalized_adjacency
-from .rng import stream
+from .rng import check_seed, stream
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,7 @@ class AugmentationConfig:
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
         if self.count < 0:
             raise ConfigError(f"augmentation count must be >= 0, got {self.count}")
+        check_seed(self.seed, "augmentation seed")
 
 
 def edge_probabilities(

@@ -16,8 +16,8 @@ import networkx as nx
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .graphs import Dataset, EgoSample, UndirectedGraph
-from .rng import derive_seed, stream
+from .graphs import MAX_NODES, Dataset, EgoSample, UndirectedGraph
+from .rng import check_seed, derive_seed, stream
 from .sampling import rwr_sample
 
 _MAX_ATTEMPTS = 80
@@ -42,6 +42,9 @@ class CascadeConfig:
             raise ConfigError(f"activation probability must be in [0,1], got {self.activation_p}")
         if self.seed_set_size < 1:
             raise ConfigError("seed set size must be >= 1")
+        if self.n_target > MAX_NODES:
+            raise ConfigError(f"subgraph size must be <= {MAX_NODES}, got {self.n_target}")
+        check_seed(self.seed)
 
 
 def independent_cascade(

@@ -20,7 +20,7 @@ import types
 import typing
 from pathlib import Path
 
-from .ablation import fit_arm, run_ablation, run_arm, score_arm
+from .ablation import check_run_seeds, fit_arm, run_ablation, run_arm, score_arm
 from .augment import AugmentationConfig, generate_augmentations
 from .autoenc import LOGVAR_CLAMP, VgaeModel
 from .cascade import CascadeConfig, generate_dataset
@@ -309,6 +309,7 @@ def _augmentation_edge_stats(samples, vgae, aug_cfg, store) -> float:
 
 def do_sweep(config: dict, out: Path) -> None:
     cfg = train_config_from_dict(config["train"])
+    check_run_seeds(config["seeds"])
     dataset = load_dataset(config["data"])
     arm = int(config["arm"])
     abl = AblationConfig.from_arm(arm)
@@ -412,7 +413,10 @@ def do_rerun(manifest_path: Path, out: Path) -> None:
     problem = _shape_problem(manifest.get("config"), _CONFIG_SHAPES[command], "config")
     if problem:
         raise DataError(f"{manifest_path}: manifest {problem}")
-    _COMMANDS[command](manifest["config"], out)
+    try:
+        _COMMANDS[command](manifest["config"], out)
+    except ConfigError as exc:  # every setting came from the manifest
+        raise DataError(f"{manifest_path}: manifest config rejected: {exc}") from exc
     fresh = json.loads((out / MANIFEST_NAME).read_text(encoding="utf-8"))
     mismatched = [
         name

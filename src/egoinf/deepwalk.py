@@ -13,9 +13,22 @@ positions and context positions.
 SGD: each step counts its pairs into two dense n x n matrices, P
 (positive pairs) and T (positive plus negative pairs), and updates every
 node at once: with G = T * sigmoid(W_in W_out^T) - P, the per-node summed
-gradients are G W_out and G^T W_in. A step costs O(n^2 * dim), which fits
-ego subgraphs of tens of nodes; graphs of thousands of nodes would want a
-sparse update.
+gradients are G W_out and G^T W_in, divided by each node's row and column
+appearances in the step. A step costs O(n^2 * dim), which fits ego
+subgraphs of tens of nodes; graphs of thousands of nodes would want a
+sparse update. A step is about 20 numpy calls on n x n and n x dim
+arrays: P and T come from ``bincount`` as float counts, the appearances
+of all of an epoch's steps are counted before its first step, and the
+sigmoid and the updates run in place in the operation order of the plain
+expressions: 1 / (1 + exp(-x)) before the product with T, and
+(lr * gradient) / appearances. The embeddings are bit-identical to those
+of the plain form, which the tests keep as an oracle.
+
+Negatives: each epoch draws what ``rng.choice(n, (pairs, negatives),
+p=noise)`` draws, one uniform per negative, and maps it as ``choice`` does,
+through the noise cdf normalised by its last entry. A table over
+``_BUCKETS`` equal slices of [0, 1) answers every uniform whose slice holds
+no cdf entry; ``searchsorted`` answers the rest.
 """
 from __future__ import annotations
 
@@ -79,8 +92,34 @@ def skipgram_pairs(walk: list[int], window: int) -> list[tuple[int, int]]:
     return list(zip(tokens[center].tolist(), tokens[context].tolist()))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+# Slices of [0, 1) in the negative-sampling table; a power of two, so that
+# scaling uniforms and the cdf by it is exact.
+_BUCKETS = 4096
+
+
+def _negative_table(noise: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cdf of ``noise`` as ``Generator.choice`` normalises it, scaled by
+    ``_BUCKETS``, and per slice of [0, 1) the index that every uniform in
+    the slice maps to, or -1 where a cdf entry falls inside the slice."""
+    cdf = np.cumsum(noise)
+    cdf /= cdf[-1]
+    cdf *= _BUCKETS
+    edges = np.arange(_BUCKETS + 1, dtype=np.float64)
+    table = np.searchsorted(cdf, edges[:-1], side="right")
+    table[table != np.searchsorted(cdf, edges[1:], side="left")] = -1
+    return cdf, table
+
+
+def _draw_negatives(u: np.ndarray, cdf: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The node ``Generator.choice`` picks for each uniform ``u`` in [0, 1),
+    given ``_negative_table``'s output; scales ``u`` by ``_BUCKETS`` in
+    place."""
+    u *= _BUCKETS
+    neg = table.take(u.astype(np.intp))
+    mixed = neg < 0
+    if mixed.any():
+        neg[mixed] = np.searchsorted(cdf, u[mixed], side="right")
+    return neg
 
 
 def deepwalk_embed(
@@ -121,29 +160,67 @@ def deepwalk_embed(
     # negatives drawn from the unigram distribution of walk tokens ^ 0.75
     noise = np.bincount(walks[walks >= 0], minlength=n).astype(np.float64) ** 0.75
     noise /= noise.sum()
+    cdf, table = _negative_table(noise)
 
-    # Each pair becomes 1 + negatives keys into a (2, n, n) count array:
-    # row-major index of (center, context) in block 0, of (center, negative)
-    # in block 1.
-    pos_keys = centers * n + contexts
+    # Each epoch visits the pairs in a fresh random order, `batch` at a time.
+    # Position i of that order falls in step i // batch; step_rows[i] is that
+    # step's row offset in a (steps, n) table of per-node appearances.
     batch = max(64, 4 * n)  # small chunks: many steps per epoch, SGD-like
+    steps = -(-npairs // batch)
+    step_rows = np.arange(npairs) // batch * n
+    pos_keys = centers * n + contexts  # row-major index of (center, context)
+    ones = np.ones(batch * max(negatives, 1))  # bincount weights: float counts
+    grad = np.empty((n, n))
+    grad_flat = grad.reshape(-1)
     for _ in range(epochs):
-        neg = rng.choice(n, size=(npairs, negatives), p=noise)
+        # the draws of rng.choice(n, (npairs, negatives), p=noise), then the order
+        neg = _draw_negatives(rng.random((npairs, negatives)), cdf, table)
         order = rng.permutation(npairs)
-        keys = np.hstack([pos_keys[:, None], n * n + centers[:, None] * n + neg])[order]
-        for lo in range(0, npairs, batch):
-            counts = np.bincount(keys[lo : lo + batch].ravel(), minlength=2 * n * n)
-            pos = counts[: n * n].reshape(n, n)
-            total = pos + counts[n * n :].reshape(n, n)
+        neg = neg.take(order, axis=0)
+        center = centers.take(order)
+        pos = pos_keys.take(order)
+        # appearances per step: a center counts in its row of P, a context
+        # or a negative in its column of T
+        count_in = np.bincount(step_rows + center, minlength=steps * n)
+        count_out = np.bincount(step_rows + contexts.take(order), minlength=steps * n)
+        neg += step_rows[:, None]
+        count_out += np.bincount(neg.ravel(), minlength=steps * n)
+        # from here on neg holds the row-major index of (center, negative)
+        center *= n
+        center -= step_rows
+        neg += center[:, None]
+        neg = neg.ravel()
+        count_in = np.maximum(count_in, 1).astype(np.float64).reshape(steps, n, 1)
+        count_out = np.maximum(count_out, 1).astype(np.float64).reshape(steps, n, 1)
+        for step in range(steps):
+            lo, hi = step * batch, (step + 1) * batch
+            p_keys = pos[lo:hi]
+            t_keys = neg[lo * negatives : hi * negatives]
+            p = np.bincount(p_keys, weights=ones[: p_keys.size], minlength=n * n)
+            # out of place: bincount of no keys (negatives=0) gives integers
+            t = p + np.bincount(t_keys, weights=ones[: t_keys.size], minlength=n * n)
             # summed per-pair gradients: positive pairs (label 1) contribute
-            # sigmoid(s) - 1, negative pairs (label 0) sigmoid(s)
-            grad = total * _sigmoid(w_in @ w_out.T) - pos
-            grad_in = grad @ w_out
-            grad_out = grad.T @ w_in
-            # summed per-node gradients divided by appearance counts, so a
-            # node's step stays bounded by lr regardless of its frequency
-            count_in = np.maximum(pos.sum(axis=1), 1)
-            count_out = np.maximum(total.sum(axis=0), 1)
-            w_in -= lr * grad_in / count_in[:, None]
-            w_out -= lr * grad_out / count_out[:, None]
+            # sigmoid(s) - 1, negative pairs (label 0) sigmoid(s); grad is
+            # T * (1 / (1 + exp(-clip(W_in W_out^T, -30, 30)))) - P, in place.
+            # np.dot makes the same BLAS call as @ with less overhead.
+            np.dot(w_in, w_out.T, out=grad)
+            np.maximum(grad_flat, -30.0, out=grad_flat)
+            np.minimum(grad_flat, 30.0, out=grad_flat)
+            np.negative(grad_flat, out=grad_flat)
+            np.exp(grad_flat, out=grad_flat)
+            grad_flat += 1.0
+            np.reciprocal(grad_flat, out=grad_flat)
+            grad_flat *= t
+            grad_flat -= p
+            grad_in = np.dot(grad, w_out)
+            grad_out = np.dot(grad.T, w_in)
+            # (lr * summed gradient) / appearances, so a node's step stays
+            # bounded by lr regardless of its frequency
+            grad_in *= lr
+            grad_in /= count_in[step]
+            w_in -= grad_in
+            grad_out *= lr
+            grad_out /= count_out[step]
+            w_out -= grad_out
+        del neg, pos, order, center  # free before the next epoch's draws
     return w_in

@@ -20,6 +20,11 @@ from .errors import DataError
 
 SPLIT_NAMES = ("train", "valid", "test")
 
+# Largest n a dataset record may declare. Ego subgraphs hold tens of nodes,
+# and each sample allocates an n x n adjacency, so a record of some tens of
+# kilobytes could otherwise demand gigabytes.
+MAX_NODES = 1024
+
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
@@ -231,6 +236,8 @@ def load_dataset(path) -> Dataset:
             # before the n x n adjacency is allocated: n comes from the file
             if len(state) != n:
                 raise DataError(f"{where}: state has {len(state)} entries, n is {n}")
+            if n > MAX_NODES:
+                raise DataError(f"{where}: n is {n}, above the limit of {MAX_NODES} nodes")
             if any(v not in (0, 1) for v in state):
                 raise DataError(f"{where}: state entries outside {{0,1}}")
             sample = EgoSample(

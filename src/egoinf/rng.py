@@ -12,6 +12,15 @@ import struct
 
 import numpy as np
 
+from .errors import ConfigError
+
+
+def check_seed(seed: int, what: str = "seed") -> None:
+    """Raise ConfigError for a seed that cannot key a stream: numpy's
+    SeedSequence rejects negative integers."""
+    if seed < 0:
+        raise ConfigError(f"{what} must be a non-negative integer, got {seed}")
+
 
 def stream(seed: int, *path) -> np.random.Generator:
     """Return the generator for (seed, path). Same arguments, same draws."""

@@ -35,7 +35,7 @@ from .layers import (
     softmax_row,
 )
 from .optim import Adagrad, mean_gradient_step
-from .rng import derive_seed, stream
+from .rng import check_seed, derive_seed, stream
 
 ARM_FLAGS: dict[int, tuple[bool, bool, bool]] = {
     1: (False, False, False),
@@ -101,6 +101,7 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.lr < 0:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        check_seed(self.seed)
 
 
 @dataclass

@@ -167,6 +167,55 @@ def oracle_skipgram_pairs(walk, window):
     return pairs
 
 
+def oracle_deepwalk_embed(
+    g, dim=64, walks_per_node=10, walk_length=40, window=5, negatives=5, rng=None,
+    epochs=5, lr=0.05,
+):
+    """deepwalk_embed as a dense update per step, in its plainest numpy: keys
+    into a (2, n, n) count array per step, ``rng.choice`` for the negatives,
+    and the sigmoid and the updates as written expressions. The same stream
+    in the same order: init, walks, then per epoch the negatives and the
+    permutation. Walks come from the library's random_walks, which the walk
+    tests pin; pairs from oracle_skipgram_pairs."""
+    from egoinf.deepwalk import random_walks
+
+    n = g.n
+    w_in = (rng.random((n, dim)) - 0.5) / dim
+    w_out = np.zeros((n, dim))
+    walks = random_walks(g, walks_per_node, walk_length, rng)
+    pairs = [p for walk in walks for p in oracle_skipgram_pairs(walk, window)]
+    if not pairs:
+        return w_in
+    centers = np.array([p[0] for p in pairs])
+    contexts = np.array([p[1] for p in pairs])
+    npairs = centers.size
+    tokens = np.concatenate([np.array(w) for w in walks])
+    noise = np.bincount(tokens, minlength=n).astype(np.float64) ** 0.75
+    noise /= noise.sum()
+
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+
+    pos_keys = centers * n + contexts
+    batch = max(64, 4 * n)
+    for _ in range(epochs):
+        neg = rng.choice(n, size=(npairs, negatives), p=noise)
+        order = rng.permutation(npairs)
+        keys = np.hstack([pos_keys[:, None], n * n + centers[:, None] * n + neg])[order]
+        for lo in range(0, npairs, batch):
+            counts = np.bincount(keys[lo : lo + batch].ravel(), minlength=2 * n * n)
+            pos = counts[: n * n].reshape(n, n)
+            total = pos + counts[n * n :].reshape(n, n)
+            grad = total * sigmoid(w_in @ w_out.T) - pos
+            grad_in = grad @ w_out
+            grad_out = grad.T @ w_in
+            count_in = np.maximum(pos.sum(axis=1), 1)
+            count_out = np.maximum(total.sum(axis=0), 1)
+            w_in -= lr * grad_in / count_in[:, None]
+            w_out -= lr * grad_out / count_out[:, None]
+    return w_in
+
+
 def oracle_skipgram_sgd(w_in, walks, window, negatives, epochs, lr, rng):
     """Skip-gram with negative sampling over given walks, one scatter per
     gradient term: the per-pair reference for deepwalk_embed's dense update.

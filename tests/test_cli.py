@@ -590,3 +590,75 @@ def test_empty_split_exits_3(
     code = main([command, "--data", str(data), "--out", str(tmp_path / "o"), *flags])
     assert code == 3
     assert f"dataset has no '{split}' split" in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fails the test if a command starts generating or reading a dataset."""
+    from egoinf import cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "generate_dataset", fail)
+    monkeypatch.setattr(cli, "load_dataset", fail)
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", *SYNTH_FLAGS, "--seed", "-1"],
+    ["train", "--seed", "-1"],
+    ["train", "--aug-seed", "-2"],
+    ["ablate", "--arms", "1", "--seed", "-1"],
+    ["sweep", "--sweep", "count", "--grid", "1", "--runs", "2", "--seed", "-3"],
+], ids=["synth", "train", "train-aug-seed", "ablate", "sweep"])
+def test_negative_seed_flag_exits_2_before_any_work(synth_dir, tmp_path, capsys, no_work, argv):
+    command, *flags = argv
+    data = [] if command == "synth" else [
+        "--data", str(synth_dir / "dataset.jsonl"), *FAST_TRAIN_FLAGS
+    ]
+    assert main([command, "--out", str(tmp_path / "o"), *data, *flags]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,path,value", [
+    ("synth", "cascade.seed", -1),
+    ("train", "train.seed", -1),
+    ("train", "train.aug.seed", -5),
+    ("ablate", "seeds", [-1]),
+    ("sweep", "seeds", [0, -1]),
+])
+def test_negative_seed_in_manifest_exits_3(
+    synth_dir, tmp_path, capsys, no_pretraining, command, path, value
+):
+    config = _valid_configs(str(synth_dir / "dataset.jsonl"))[command]
+    _damage(config, path, value)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": command, "config": config, "outputs": {}}))
+    assert main(["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "must be a non-negative integer" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_dataset_above_node_cap_exits_3(tmp_path, capsys):
+    from egoinf.graphs import MAX_NODES
+
+    n = MAX_NODES + 1
+    data = tmp_path / "big.jsonl"
+    data.write_text(
+        '{"id":"big","n":%d,"edges":[[0,1]],"ego":0,"state":[%s],"label":0}\n'
+        % (n, ",".join(["0"] * n))
+    )
+    code = main(["train", "--data", str(data), "--out", str(tmp_path / "o"), *FAST_TRAIN_FLAGS])
+    assert code == 3
+    assert f"above the limit of {MAX_NODES} nodes" in capsys.readouterr().err
+
+
+def test_subgraph_size_above_node_cap_exits_2(tmp_path, capsys, no_work):
+    from egoinf.graphs import MAX_NODES
+
+    code = main(["synth", "--out", str(tmp_path / "o"), *SYNTH_FLAGS,
+                 "--subgraph-size", str(MAX_NODES + 1)])
+    assert code == 2
+    assert "subgraph size" in capsys.readouterr().err

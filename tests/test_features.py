@@ -3,14 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from egoinf.deepwalk import deepwalk_embed, random_walks, skipgram_pairs
+from egoinf.deepwalk import (
+    _BUCKETS,
+    _draw_negatives,
+    _negative_table,
+    deepwalk_embed,
+    random_walks,
+    skipgram_pairs,
+)
 from egoinf.errors import ConfigError
 from egoinf.features import DeepWalkConfig, FeatureStore, influence_features
 from egoinf.graphs import EgoSample, UndirectedGraph
 from egoinf.rng import stream
 from egoinf.sampling import rwr_sample
 
-from .oracles import oracle_skipgram_pairs, oracle_skipgram_sgd, random_adjacency
+from .oracles import (
+    oracle_deepwalk_embed,
+    oracle_skipgram_pairs,
+    oracle_skipgram_sgd,
+    random_adjacency,
+)
 
 
 def graph_from_edges(n, edges):
@@ -284,3 +296,136 @@ class TestDeepwalkOracle:
         got = deepwalk_embed(g, rng=stream(9, "dw"), lr=0.05, **dw)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert not np.array_equal(got, w_in)
+
+
+def asymmetric_with_sink(n, seed):
+    """A directed adjacency: node 1 has no out-edge but several in-edges, and
+    a few edges run one way only."""
+    rng = np.random.default_rng(seed)
+    adj = random_adjacency(n, rng, p=0.25)
+    adj[1, :] = 0
+    adj[rng.integers(2, n, size=4), 1] = 1
+    adj[0, 2], adj[2, 0] = 1, 0
+    np.fill_diagonal(adj, 0)
+    return UndirectedGraph(adj)
+
+
+def two_matched_edges():
+    """Edges 0-1 and 2-3: every walk alternates between the ends of one edge,
+    so all four nodes are visited equally often and the noise cdf is
+    exactly 0.25, 0.5, 0.75, 1: entries on slice edges of the table."""
+    return graph_from_edges(4, [(0, 1), (2, 3)])
+
+
+ACCEPT_DW = dict(dim=8, walks_per_node=3, walk_length=15, window=3, negatives=3, epochs=2)
+KERNEL_CASES = {
+    "n30": (
+        UndirectedGraph(random_adjacency(30, np.random.default_rng(1), p=0.15)), ACCEPT_DW,
+    ),
+    "n50": (
+        UndirectedGraph(random_adjacency(50, np.random.default_rng(2), p=0.1)),
+        dict(dim=16, walks_per_node=2, walk_length=20, window=4, negatives=4, epochs=2),
+    ),
+    "isolated": (
+        graph_with_isolated_node(12, 3),
+        dict(dim=6, walks_per_node=3, walk_length=10, window=2, negatives=3, epochs=3),
+    ),
+    "no negatives": (
+        UndirectedGraph(random_adjacency(30, np.random.default_rng(4), p=0.15)),
+        dict(ACCEPT_DW, negatives=0),
+    ),
+    "no walks": (
+        UndirectedGraph(random_adjacency(30, np.random.default_rng(5), p=0.15)),
+        dict(ACCEPT_DW, walks_per_node=0),
+    ),
+    "asymmetric with sink": (asymmetric_with_sink(25, 6), ACCEPT_DW),
+    "cdf on slice edges": (two_matched_edges(), dict(ACCEPT_DW, walks_per_node=40)),
+    "one node": (graph_from_edges(1, []), dict(ACCEPT_DW, dim=1)),
+    "dim one": (UndirectedGraph(random_adjacency(9, np.random.default_rng(7), p=0.4)),
+                dict(ACCEPT_DW, dim=1, epochs=3)),
+    # steps so large that scores leave [-30, 30], where the clip decides
+    "large steps": (UndirectedGraph(random_adjacency(12, np.random.default_rng(8), p=0.3)),
+                    dict(ACCEPT_DW, dim=4, epochs=4, lr=5.0)),
+}
+
+
+@st.composite
+def ego_sized_graphs(draw):
+    """Random graphs of 1-40 nodes, symmetric or not, sparse or dense."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    p = draw(st.sampled_from([0.0, 0.05, 0.15, 0.4, 0.8]))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    adj = random_adjacency(n, np.random.default_rng(seed), p=p)
+    if draw(st.booleans()):
+        adj = np.triu(adj)  # directed: every edge one way only, some sinks
+    return UndirectedGraph(adj)
+
+
+class TestKernelBitIdentical:
+    """deepwalk_embed reproduces the dense oracle byte for byte: the same
+    draws, and the same floating-point operations in the same order."""
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_matches_dense_oracle_bytes(self, case):
+        g, dw = KERNEL_CASES[case]
+        dw = {"lr": 0.05, **dw}
+        got = deepwalk_embed(g, rng=stream(9, "dw"), **dw)
+        want = oracle_deepwalk_embed(g, rng=stream(9, "dw"), **dw)
+        assert got.tobytes() == want.tobytes()
+
+    def test_slice_edge_case_puts_cdf_on_slice_edges(self):
+        g, dw = KERNEL_CASES["cdf on slice edges"]
+        rng = stream(9, "dw")
+        rng.random((g.n, dw["dim"]))
+        walks = random_walks(g, dw["walks_per_node"], dw["walk_length"], rng)
+        visits = np.bincount(np.concatenate(walks), minlength=g.n)
+        assert np.all(visits == visits[0])
+        noise = visits.astype(np.float64) ** 0.75
+        cdf, _ = _negative_table(noise / noise.sum())
+        np.testing.assert_array_equal(cdf, [1024, 2048, 3072, 4096])
+
+    @given(
+        g=st.one_of(small_graphs(), small_graphs(symmetric=False), ego_sized_graphs()),
+        dim=st.integers(min_value=1, max_value=6),
+        walks_per_node=st.integers(min_value=0, max_value=3),
+        walk_length=st.integers(min_value=0, max_value=10),
+        window=st.integers(min_value=1, max_value=4),
+        negatives=st.integers(min_value=0, max_value=4),
+        epochs=st.integers(min_value=0, max_value=3),
+        lr=st.sampled_from([0.01, 0.05, 0.5]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dense_oracle_on_random_graphs(
+        self, g, dim, walks_per_node, walk_length, window, negatives, epochs, lr, seed
+    ):
+        dw = dict(dim=dim, walks_per_node=walks_per_node, walk_length=walk_length,
+                  window=window, negatives=negatives, epochs=epochs, lr=lr)
+        got = deepwalk_embed(g, rng=stream(seed, "dw"), **dw)
+        want = oracle_deepwalk_embed(g, rng=stream(seed, "dw"), **dw)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "visits",
+    [[1, 1, 1, 1], [3, 0, 1, 5, 0, 0, 2], [0, 0, 4], [7], [1] * 3 + [2] * 5, list(range(40))],
+)
+def test_negative_draws_match_generator_choice(visits):
+    noise = np.asarray(visits, dtype=np.float64) ** 0.75
+    noise /= noise.sum()
+    cdf, table = _negative_table(noise)
+    # uniforms on every slice edge, just below each, on and around every cdf entry
+    edges = np.arange(_BUCKETS) / _BUCKETS
+    entries = np.clip(cdf / _BUCKETS, 0.0, np.nextafter(1.0, 0.0))
+    u = np.concatenate([
+        edges, np.nextafter(edges[1:], 0.0), entries,
+        np.nextafter(entries, 0.0), np.nextafter(entries, 1.0), [np.nextafter(1.0, 0.0)],
+    ])
+    u = u[u < 1.0]
+    choice_cdf = np.cumsum(noise)
+    choice_cdf /= choice_cdf[-1]
+    want = np.searchsorted(choice_cdf, u, side="right")
+    np.testing.assert_array_equal(_draw_negatives(u.copy(), cdf, table), want)
+    # and the draws themselves: the same uniforms Generator.choice consumes
+    got = _draw_negatives(stream(3, "neg").random((200, 3)), cdf, table)
+    np.testing.assert_array_equal(got, stream(3, "neg").choice(len(visits), (200, 3), p=noise))

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from egoinf.errors import DataError
 from egoinf.graphs import (
+    MAX_NODES,
     Dataset,
     EgoSample,
     UndirectedGraph,
@@ -194,3 +195,28 @@ class TestSerialization:
         with pytest.warns(UserWarning, match="direction"):
             g = UndirectedGraph.symmetrized(directed)
         np.testing.assert_array_equal(g.adjacency, np.array(PATH3))
+
+
+def _one_node_record(n):
+    return '{"id":"big","n":%d,"edges":[[0,1]],"ego":0,"state":[%s],"label":0}\n' % (
+        n, ",".join(["0"] * n)
+    )
+
+
+def test_n_above_the_cap_rejected_before_allocating(tmp_path, monkeypatch):
+    path = tmp_path / "big.jsonl"
+    path.write_text(_one_node_record(MAX_NODES + 1))
+
+    def no_adjacency(*args, **kwargs):
+        raise AssertionError("an adjacency was allocated")
+
+    monkeypatch.setattr(UndirectedGraph, "from_edges", no_adjacency)
+    with pytest.raises(DataError, match=f"above the limit of {MAX_NODES} nodes"):
+        load_dataset(path)
+
+
+def test_n_at_the_cap_loads(tmp_path):
+    path = tmp_path / "cap.jsonl"
+    path.write_text(_one_node_record(MAX_NODES))
+    (sample,) = load_dataset(path).samples
+    assert sample.n == MAX_NODES
