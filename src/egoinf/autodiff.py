@@ -6,7 +6,10 @@ An operation computes its result eagerly in numpy and records a node
 records once, in reverse, accumulating gradients. Matrices are always
 2-D float64; scalars are 1x1 matrices. Inside an op numpy may use any
 shape: ``gat_heads`` runs every attention head of a GAT layer as one node
-over (H, n, n) arrays and lays its result out as an (n, H*f) matrix.
+and lays its result out as an (n, H*f) matrix. Its scores and masked
+softmax run on the mask's E nonzeros as (H, E) arrays, O(H*E); only the
+coefficients are scattered into a dense (H, n, n) array, for the BLAS
+aggregation and its backward products.
 
 Any op whose result contains NaN/Inf raises ``NumericsError`` at record
 time, so divergence is caught where it happens.
@@ -75,15 +78,22 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def attention_weights(
     hw: np.ndarray, att: np.ndarray, mask: np.ndarray, heads: int, slope: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, tuple]:
     """Graph attention coefficients of all heads at once.
 
     hw is (n, H*f) with head k's projection in columns k*f:(k+1)*f; att is
     (2f, H) with head k's source half in rows :f and destination half in
     rows f: of column k. Head k scores pair (i, j) as
     leaky_relu(a_src_k . hw_k[i] + a_dst_k . hw_k[j]) and softmaxes each
-    row over the mask=1 entries. Returns alpha (H, n, n), zero where
-    masked, and the (H, n, n) leaky-ReLU slope of every score (1 or slope).
+    row over the mask's nonzero entries.
+
+    Scores, leaky-ReLU and softmax run on the E nonzeros only, as (H, E)
+    arrays in row-major order, so they cost O(H*E) rather than O(H*n*n).
+    Returns alpha as a dense (H, n, n) array, zero where masked, for the
+    BLAS aggregation alpha @ hw, and the edges the backward reuses:
+    (flat, counts, alpha_e, factor) with each nonzero's row-major position
+    in the n*n square, the nonzeros per row, and every edge's (H, E)
+    coefficient and leaky-ReLU slope (1 or slope).
     """
     n = hw.shape[0]
     if att.ndim != 2 or att.shape[1] != heads or att.shape[0] % 2:
@@ -94,21 +104,26 @@ def attention_weights(
     keep = np.asarray(mask) != 0
     if keep.shape != (n, n):
         raise DimensionError(f"attention: mask {keep.shape} for {n} nodes")
-    if not keep.any(axis=1).all():
-        bad = int(np.flatnonzero(~keep.any(axis=1))[0])
+    flat = np.flatnonzero(keep)  # row-major: each row's edges are contiguous
+    rows, cols = np.divmod(flat, n)
+    counts = np.bincount(rows, minlength=n)
+    if not counts.all():
+        bad = int(np.flatnonzero(counts == 0)[0])
         raise ConfigError(f"masked softmax: row {bad} fully masked")
+    starts = np.cumsum(counts) - counts
     hw3 = hw.reshape(n, heads, fp).transpose(1, 0, 2)  # (H, n, f)
     a3 = att.reshape(2, fp, heads).transpose(2, 0, 1)  # (H, 2, f): src, dst
     fg = a3 @ hw3.transpose(0, 2, 1)  # (H, 2, n): both terms per node
-    scores = fg[:, 0, :, None] + fg[:, 1, None, :]
+    scores = fg[:, 0].take(rows, axis=1)
+    scores += fg[:, 1].take(cols, axis=1)
     factor = np.where(scores > 0, 1.0, slope)
     scores *= factor
-    top = np.where(keep, scores, -np.inf).max(axis=2, keepdims=True)
-    # exp of the masked entries' -inf is several times slower than of 0
-    e = np.exp(np.where(keep, scores - top, 0.0))
-    e *= keep
-    e /= e.sum(axis=2, keepdims=True)
-    return e, factor
+    scores -= np.maximum.reduceat(scores, starts, axis=1).repeat(counts, axis=1)
+    e = np.exp(scores, out=scores)
+    e /= np.add.reduceat(e, starts, axis=1).repeat(counts, axis=1)
+    alpha = np.zeros((heads, n * n))
+    alpha[:, flat] = e
+    return alpha.reshape(heads, n, n), (flat, counts, e, factor)
 
 
 class Tape:
@@ -279,10 +294,14 @@ class Tape:
         alpha_k @ hw_k lands in columns k*f:(k+1)*f of an (n, H*f) result.
 
         hw and att are laid out as in ``attention_weights``; mask is a
-        constant. Gradients flow to hw and att.
+        constant. Gradients flow to hw and att. The aggregation and its
+        two backward products are dense BLAS matmuls over the (H, n, n)
+        alpha; the softmax and leaky-ReLU backward run on the (H, E) edges.
         """
         n = hw.rows
-        alpha, factor = attention_weights(hw.values, att.values, mask, heads, slope)
+        alpha, (flat, counts, alpha_e, factor) = attention_weights(
+            hw.values, att.values, mask, heads, slope
+        )
         fp = att.rows // 2
         hw3 = hw.values.reshape(n, heads, fp).transpose(1, 0, 2)
         a3 = att.values.reshape(2, fp, heads).transpose(2, 0, 1)
@@ -290,13 +309,16 @@ class Tape:
         def bw(g):
             g3 = g.reshape(n, heads, fp).transpose(1, 0, 2)
             d_hw3 = alpha.transpose(0, 2, 1) @ g3
-            # back through the masked softmax and the leaky-ReLU to the
-            # source and destination terms
-            d_s = g3 @ hw3.transpose(0, 2, 1)
-            d_s -= (d_s * alpha).sum(axis=2, keepdims=True)
-            d_s *= alpha
+            # back through the masked softmax and the leaky-ReLU at the
+            # edges, then to the source (row) and destination (column) terms
+            d_s = (g3 @ hw3.transpose(0, 2, 1)).reshape(heads, n * n).take(flat, axis=1)
+            starts = np.cumsum(counts) - counts
+            d_s -= np.add.reduceat(d_s * alpha_e, starts, axis=1).repeat(counts, axis=1)
+            d_s *= alpha_e
             d_s *= factor
-            d_fg = np.stack([d_s.sum(axis=2), d_s.sum(axis=1)], axis=1)
+            dst = flat % n + n * np.arange(heads)[:, None]  # column, per head
+            d_dst = np.bincount(dst.ravel(), d_s.ravel(), heads * n).reshape(heads, n)
+            d_fg = np.stack([np.add.reduceat(d_s, starts, axis=1), d_dst], axis=1)
             d_hw3 += d_fg.transpose(0, 2, 1) @ a3
             d_a3 = d_fg @ hw3
             return (

@@ -77,20 +77,18 @@ def vgae_encode(
     m: VgaeModel,
     x: Tensor,
     a_hat: Tensor,
-    rng: np.random.Generator | None = None,
     noise: np.ndarray | None = None,
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Return (z, mu, logvar). rng/noise None means eval mode (z = mu);
-    a fixed noise matrix freezes epsilon for gradient checking."""
+    """Return (z, mu, logvar). noise is the standard-normal epsilon of the
+    reparameterization, shaped like mu; None means eval mode (z = mu)."""
     hidden = tape.relu(tape.matmul(tape.matmul(a_hat, x), tape.leaf(m.w0)))
     ah = tape.matmul(a_hat, hidden)
     mu = tape.matmul(ah, tape.leaf(m.w1_mu))
     logvar = tape.clip(tape.matmul(ah, tape.leaf(m.w1_logvar)), -LOGVAR_CLAMP, LOGVAR_CLAMP)
-    if rng is None and noise is None:
+    if noise is None:
         return mu, mu, logvar
-    eps = noise if noise is not None else rng.standard_normal(mu.shape)
     sigma = tape.exp(tape.scale(logvar, 0.5))
-    z = tape.add(mu, tape.hadamard(sigma, tape.leaf(np.asarray(eps, dtype=np.float64))))
+    z = tape.add(mu, tape.hadamard(sigma, tape.leaf(np.asarray(noise, dtype=np.float64))))
     return z, mu, logvar
 
 
@@ -127,11 +125,6 @@ def reconstruction_ce(
     return tape.bce_mean(m, target, weights, mask)
 
 
-def kld(tape: Tape, mu: Tensor, logvar: Tensor) -> Tensor:
-    """Gaussian KL to the standard normal, averaged per node."""
-    return tape.gaussian_kl(mu, logvar)
-
-
 @dataclass
 class AutoencTrainConfig:
     epochs: int = 200
@@ -150,13 +143,14 @@ def _prepare_graphs(data) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     return prepared
 
 
-def _fit(model, data, cfg: AutoencTrainConfig, name: str, loss_of):
-    """Full-batch Adagrad over the graphs, one step per epoch. loss_of(tape,
-    (index, graph)) returns the loss node and its parts by name; each trace
-    row holds the parts' means over the graphs and their sum as total."""
-    if not data:
+def _fit(model, graphs, cfg: AutoencTrainConfig, name: str, loss_of):
+    """Full-batch Adagrad over the prepared graphs, one step per epoch.
+    loss_of(tape, (index, graph)) returns the loss node and its parts by
+    name; each trace row holds the parts' means over the graphs and their
+    sum as total."""
+    if not graphs:
         raise ConfigError(f"train_{name.lower()}: empty dataset")
-    graphs = list(enumerate(_prepare_graphs(data)))
+    items = list(enumerate(graphs))
     opt = Adagrad(model.parameters(), lr=cfg.lr)
 
     def diverged(_, exc):
@@ -165,7 +159,7 @@ def _fit(model, data, cfg: AutoencTrainConfig, name: str, loss_of):
     trace: list[dict[str, float]] = []
     for epoch in range(cfg.epochs):
         sums: dict[str, float] = {}
-        for record in mean_gradient_step(opt, graphs, loss_of, diverged):
+        for record in mean_gradient_step(opt, items, loss_of, diverged):
             for key, value in record.items():
                 sums[key] = sums.get(key, 0.0) + value
         sums["total"] = sum(sums.values())
@@ -177,18 +171,24 @@ def train_vgae(model: VgaeModel, data, cfg: AutoencTrainConfig):
     """Fit the VGAE on (features, adjacency) pairs with the reconstruction
     plus KL loss. Returns (model, trace) where trace has one dict per epoch
     with keys ce, kld, total."""
+    graphs = _prepare_graphs(data)
+    # one fixed noise draw per graph, made once: traces are reproducible and
+    # a frozen model yields a frozen loss trace
+    noise = [
+        stream(cfg.seed, "vgae-eps", gi).standard_normal((adj.shape[0], model.d))
+        for gi, (_, adj, _) in enumerate(graphs)
+    ]
 
     def loss_of(tape, item):
         gi, (x, adj, a_hat) = item
-        # one fixed noise draw per graph: traces are reproducible and a
-        # frozen model yields a frozen loss trace
-        eps_rng = stream(cfg.seed, "vgae-eps", gi)
-        z, mu, logvar = vgae_encode(tape, model, tape.leaf(x), tape.leaf(a_hat), rng=eps_rng)
+        z, mu, logvar = vgae_encode(
+            tape, model, tape.leaf(x), tape.leaf(a_hat), noise=noise[gi]
+        )
         ce = reconstruction_ce(tape, inner_product_decode(tape, z), adj)
-        kl = kld(tape, mu, logvar)
+        kl = tape.gaussian_kl(mu, logvar)
         return tape.add(ce, kl), {"ce": float(ce.values[0, 0]), "kld": float(kl.values[0, 0])}
 
-    return _fit(model, data, cfg, "VGAE", loss_of)
+    return _fit(model, graphs, cfg, "VGAE", loss_of)
 
 
 def train_gae(model: GaeModel, data, cfg: AutoencTrainConfig):
@@ -201,4 +201,4 @@ def train_gae(model: GaeModel, data, cfg: AutoencTrainConfig):
         ce = reconstruction_ce(tape, inner_product_decode(tape, z), adj)
         return ce, {"ce": float(ce.values[0, 0])}
 
-    return _fit(model, data, cfg, "GAE", loss_of)
+    return _fit(model, _prepare_graphs(data), cfg, "GAE", loss_of)

@@ -7,7 +7,10 @@ fp64 arrays updated in place by the optimizer between tapes.
 A GAT layer stores all heads in one weight and one attention matrix, so
 it records the same five nodes (seven for the averaging output layer)
 whatever its head count: two parameter leaves, one projection matmul and
-one ``Tape.gat_heads`` node that computes every head at once.
+one ``Tape.gat_heads`` node that computes every head at once. Attention
+scores and their softmax cost O(H*E) over the E edges of the attention
+mask (neighbours plus self); the aggregation multiplies a dense (H, n, n)
+coefficient array with BLAS.
 """
 from __future__ import annotations
 

@@ -25,7 +25,6 @@ from egoinf.autoenc import (
     VgaeModel,
     gae_encode,
     inner_product_decode,
-    kld,
     reconstruction_ce,
     train_vgae,
     vgae_encode,
@@ -192,7 +191,7 @@ def _fd_case_vgae(rng):
         t = Tape()
         z, mu, logvar = vgae_encode(t, model, t.leaf(x), t.leaf(a_hat), noise=noise)
         loss = t.add(
-            reconstruction_ce(t, inner_product_decode(t, z), adj), kld(t, mu, logvar)
+            reconstruction_ce(t, inner_product_decode(t, z), adj), t.gaussian_kl(mu, logvar)
         )
         t.backward(loss)
         return float(loss.values[0, 0]), {k: t.grad(v) for k, v in live.items()}

@@ -51,6 +51,11 @@ class TestPrimitiveValues:
         hw, att = t.leaf(np.zeros((2, 4))), t.leaf(np.zeros((4, 2)))
         with pytest.raises(ConfigError, match="row 1"):
             t.gat_heads(hw, att, np.array([[1.0, 0.0], [0.0, 0.0]]), 2, 0.2)
+        # the first fully masked row is named, wherever it sits
+        mask = np.ones((30, 30))
+        mask[[13, 20]] = 0.0
+        with pytest.raises(ConfigError, match="row 13 fully masked"):
+            t.gat_heads(t.leaf(np.zeros((30, 4))), att, mask, 2, 0.2)
         with pytest.raises(DimensionError):
             t.gat_heads(hw, att, np.eye(2), 1, 0.2)
         with pytest.raises(DimensionError):

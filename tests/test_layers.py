@@ -153,6 +153,87 @@ class TestGatAttention:
             assert (alpha.values[outside] == 0).all()
 
 
+def assert_fused_matches_chain(adj, f_in, f_out, heads, concat, rng):
+    """gat_forward against the per-head oracle chain on one graph: values,
+    the input gradient and the w/a gradients under a random probe, at 1e-12."""
+    n = adj.shape[0]
+    h = rng.standard_normal((n, f_in))
+    layer = GatLayer.create(
+        f_in, f_out, heads, rng, concat=concat, activation="elu" if concat else "identity"
+    )
+    probe = rng.standard_normal((n, f_out * heads if concat else f_out))
+    results = []
+    for forward in (gat_forward, oracle_gat_chain):
+        t = Tape()
+        x = t.leaf(h)
+        out = forward(t, layer, x, adj)
+        t.backward(t.sum(t.hadamard(out, t.leaf(probe))))
+        grads = {k: t.grad(v) for k, v in layer.parameters().items()}
+        results.append((out.values, t.grad(x), grads))
+    (got, got_dx, got_grads), (want, want_dx, want_grads) = results
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_dx, want_dx, rtol=0, atol=1e-12)
+    assert set(got_grads) == {"w", "a"}
+    for name in want_grads:
+        np.testing.assert_allclose(
+            got_grads[name], want_grads[name], rtol=0, atol=1e-12, err_msg=name
+        )
+
+
+def ego_net(n, density, rng):
+    """Random symmetric adjacency whose attention mask (edges plus
+    self-loops) has about the given density."""
+    p = (density - 1.0 / n) * n / (n - 1)
+    adj = random_adjacency(n, rng, p=p)
+    mask_density = (np.count_nonzero(adj) + n) / n**2
+    assert 0.1 <= mask_density <= 0.25, mask_density
+    return adj
+
+
+class TestGatAtEgoNetShapes:
+    """The edge-wise kernel against the dense per-head oracle at the sizes
+    the benchmarks train on (30 nodes x 4 heads, 50 nodes x 8 heads, mask
+    densities 0.1-0.25), where the oracle's dense row sums run longer than
+    numpy's 8-way pairwise block, and at the mask's corner cases."""
+
+    @pytest.mark.parametrize("concat", [True, False])
+    @pytest.mark.parametrize(
+        "n,heads,f_out,density",
+        [(30, 4, 8, 0.14), (30, 4, 8, 0.21), (50, 8, 16, 0.13), (50, 8, 16, 0.18)],
+    )
+    def test_benchmark_shapes(self, n, heads, f_out, density, concat):
+        for seed in range(3):
+            rng = rng_for(1000 * n + seed)
+            assert_fused_matches_chain(ego_net(n, density, rng), 12, f_out, heads, concat, rng)
+
+    @pytest.mark.parametrize("concat", [True, False])
+    def test_single_node(self, concat):
+        assert_fused_matches_chain(np.zeros((1, 1)), 4, 3, 2, concat, rng_for(51))
+
+    @pytest.mark.parametrize("concat", [True, False])
+    def test_node_attending_only_to_itself(self, concat):
+        rng = rng_for(52)
+        adj = ego_net(30, 0.2, rng)
+        adj[7, :] = adj[:, 7] = 0.0
+        assert_fused_matches_chain(adj, 6, 4, 3, concat, rng)
+        t = Tape()
+        h = t.leaf(rng.standard_normal((30, 6)))
+        for alpha in gat_attention(t, GatLayer.create(6, 4, 3, rng), h, adj):
+            np.testing.assert_array_equal(alpha.values[7], np.eye(30)[7])
+
+    @pytest.mark.parametrize("concat", [True, False])
+    def test_complete_graph(self, concat):
+        assert_fused_matches_chain(1.0 - np.eye(20), 6, 4, 4, concat, rng_for(53))
+
+    @pytest.mark.parametrize("concat", [True, False])
+    def test_non_unit_mask_values_count_as_edges(self, concat):
+        rng = rng_for(54)
+        adj = ego_net(30, 0.2, rng)
+        weights = rng.uniform(0.1, 5.0, adj.shape)
+        adj = adj * (weights + weights.T)
+        assert_fused_matches_chain(adj, 6, 4, 3, concat, rng)
+
+
 class TestGatForward:
     def test_single_head_identity_on_edgeless(self):
         n, f = 4, 3
@@ -205,27 +286,7 @@ class TestGatForward:
             rng = rng_for(100 * heads + seed)
             n = int(rng.integers(2, 9))
             adj = np.zeros((n, n)) if edgeless else random_adjacency(n, rng)
-            h = rng.standard_normal((n, 5))
-            layer = GatLayer.create(
-                5, 3, heads, rng, concat=concat, activation="elu" if concat else "identity"
-            )
-            probe = rng.standard_normal((n, 3 * heads if concat else 3))
-            results = []
-            for forward in (gat_forward, oracle_gat_chain):
-                t = Tape()
-                x = t.leaf(h)
-                out = forward(t, layer, x, adj)
-                t.backward(t.sum(t.hadamard(out, t.leaf(probe))))
-                grads = {k: t.grad(v) for k, v in layer.parameters().items()}
-                results.append((out.values, t.grad(x), grads))
-            (got, got_dx, got_grads), (want, want_dx, want_grads) = results
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(got_dx, want_dx, rtol=0, atol=1e-12)
-            assert set(got_grads) == {"w", "a"}
-            for name in want_grads:
-                np.testing.assert_allclose(
-                    got_grads[name], want_grads[name], rtol=0, atol=1e-12, err_msg=name
-                )
+            assert_fused_matches_chain(adj, 5, 3, heads, concat, rng)
 
     @pytest.mark.parametrize("concat", [True, False])
     def test_layer_nodes_independent_of_heads(self, concat):
