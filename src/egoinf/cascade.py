@@ -7,6 +7,16 @@ ego activates in the next round. Egos are drawn from nodes with an active
 node within two hops, so a share of samples has no directly active
 neighbour and can never activate; the rest face genuine influence
 pressure. That keeps the task graph-structural but not trivial.
+
+Draws: in each round the frontier nodes go in ascending order, and each
+takes one ``rng.random(k)`` for its k still-inactive neighbours (read from
+``UndirectedGraph.neighbors``, ascending). That call reads the stream's
+words exactly as k scalar draws would, one per edge check. It is exact
+because a node's neighbours are distinct: each draw can only activate its
+own neighbour, so which neighbours draw is fixed before the node's first
+draw. The generator therefore ends where a per-edge loop leaves it, and
+the same stream then picks the ego. ``CascadeConfig`` rejects settings the
+generator cannot honour before any graph is built.
 """
 from __future__ import annotations
 
@@ -38,12 +48,34 @@ class CascadeConfig:
     seed: int = 0
 
     def __post_init__(self):
+        n = self.graph_nodes
         if not (0.0 <= self.activation_p <= 1.0):
             raise ConfigError(f"activation probability must be in [0,1], got {self.activation_p}")
-        if self.seed_set_size < 1:
-            raise ConfigError("seed set size must be >= 1")
+        if not (1 <= self.seed_set_size <= n):
+            raise ConfigError(
+                f"seed set size must be in [1, {n}] for {n} graph nodes, got {self.seed_set_size}"
+            )
+        if self.samples < 1:
+            raise ConfigError(f"samples must be >= 1, got {self.samples}")
         if self.n_target > MAX_NODES:
             raise ConfigError(f"subgraph size must be <= {MAX_NODES}, got {self.n_target}")
+        if not (1 <= self.n_target <= n):
+            raise ConfigError(
+                f"subgraph size must be in [1, {n}] for {n} graph nodes, got {self.n_target}"
+            )
+        if not (0.0 <= self.ws_beta <= 1.0):
+            raise ConfigError(f"rewiring probability must be in [0,1], got {self.ws_beta}")
+        if not (0.0 <= self.restart_p < 1.0):
+            raise ConfigError(f"restart probability must be in [0,1), got {self.restart_p}")
+        # the ranges networkx accepts, and in which the graph can be connected
+        if self.graph_model == "watts_strogatz":
+            if not (2 <= self.ws_k <= n):
+                raise ConfigError(f"ws_k must be in [2, {n}] for {n} graph nodes, got {self.ws_k}")
+        elif self.graph_model == "barabasi_albert":
+            if not (1 <= self.ba_m < n):
+                raise ConfigError(f"ba_m must be in [1, {n}) for {n} graph nodes, got {self.ba_m}")
+        else:
+            raise ConfigError(f"unknown graph model '{self.graph_model}'")
         check_seed(self.seed)
 
 
@@ -61,24 +93,28 @@ def cascade_rounds(
 ) -> np.ndarray:
     """Activation round per node (-1 if never active); seeds are round 0."""
     seeds = sorted(set(int(s) for s in seeds))
+    neighbors = g.neighbors
+    rounds = [-1] * g.n
     for s in seeds:
         if not (0 <= s < g.n):
             raise ConfigError(f"seed {s} out of range")
-    adj = g.adjacency
-    rounds = np.full(g.n, -1, dtype=np.int64)
-    rounds[seeds] = 0
+        rounds[s] = 0
     frontier = seeds
     r = 0
     while frontier:
         r += 1
         newly: list[int] = []
         for u in frontier:
-            for v in np.flatnonzero(adj[u]):
-                if rounds[v] == -1 and rng.random() < p:
+            inactive = [v for v in neighbors[u] if rounds[v] == -1]
+            if not inactive:
+                continue
+            for v, x in zip(inactive, rng.random(len(inactive)).tolist()):
+                if x < p:
                     rounds[v] = r
-                    newly.append(int(v))
-        frontier = sorted(set(newly))
-    return rounds
+                    newly.append(v)
+        newly.sort()
+        frontier = newly
+    return np.array(rounds, dtype=np.int64)
 
 
 def build_base_graph(cfg: CascadeConfig) -> UndirectedGraph:
@@ -87,17 +123,15 @@ def build_base_graph(cfg: CascadeConfig) -> UndirectedGraph:
         G = nx.connected_watts_strogatz_graph(
             cfg.graph_nodes, cfg.ws_k, cfg.ws_beta, tries=200, seed=nx_seed
         )
-    elif cfg.graph_model == "barabasi_albert":
+    else:  # barabasi_albert; CascadeConfig rejects any other model
         G = nx.barabasi_albert_graph(cfg.graph_nodes, cfg.ba_m, seed=nx_seed)
-    else:
-        raise ConfigError(f"unknown graph model '{cfg.graph_model}'")
     return UndirectedGraph.from_edges(cfg.graph_nodes, G.edges())
 
 
 def _candidate_egos(adj: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Inactive nodes with an active node within two hops."""
     one_hop = adj @ active > 0
-    two_hop = adj @ one_hop.astype(np.int64) > 0
+    two_hop = adj @ one_hop.astype(adj.dtype) > 0
     near = one_hop | two_hop | (active > 0)
     return np.flatnonzero(near & (active == 0))
 
@@ -123,6 +157,8 @@ def generate_dataset(cfg: CascadeConfig) -> Dataset:
     graph. Aborts with DataError when the configuration produces a single
     class (for example p = 0)."""
     base = build_base_graph(cfg)
+    # float64 so that both products run in BLAS; sums of 0/1 entries are exact
+    base_adj = base.adjacency.astype(np.float64)
     samples: list[EgoSample] = []
     for idx in range(cfg.samples):
         sample = None
@@ -130,8 +166,8 @@ def generate_dataset(cfg: CascadeConfig) -> Dataset:
             rng = stream(cfg.seed, "cascade", idx, attempt)
             seeds = rng.choice(cfg.graph_nodes, size=cfg.seed_set_size, replace=False)
             rounds = cascade_rounds(base, seeds, cfg.activation_p, rng)
-            active = (rounds == 0).astype(np.int64)  # observation at seeding time
-            candidates = _candidate_egos(base.adjacency.astype(np.int64), active)
+            active = (rounds == 0).astype(np.float64)  # observation at seeding time
+            candidates = _candidate_egos(base_adj, active)
             if candidates.size == 0:
                 continue
             ego = int(candidates[rng.integers(candidates.size)])

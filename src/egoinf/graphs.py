@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -45,6 +46,15 @@ class UndirectedGraph:
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's neighbours as ascending Python ints:
+        ``neighbors[v]`` holds ``np.flatnonzero(adjacency[v])``, in the form
+        the per-node loops of the cascade and the walk index fastest. Built
+        on first read and kept with the graph (the adjacency is read-only,
+        so it cannot go stale); a graph that never reads it holds nothing."""
+        return tuple(tuple(np.flatnonzero(row).tolist()) for row in self.adjacency)
 
     @property
     def num_edges(self) -> int:

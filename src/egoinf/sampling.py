@@ -1,4 +1,12 @@
-"""Ego subgraph extraction by random walk with restart."""
+"""Ego subgraph extraction by random walk with restart.
+
+Each step takes one scalar ``rng.random()`` (restart or move) and, when the
+walk moves, one ``rng.integers(degree)`` over the current node's neighbours
+in ascending order (``UndirectedGraph.neighbors``, built once per graph).
+The two calls interleave through the generator's 32-bit buffer, so they
+stay scalar calls in this order: batching either would change which words
+of the stream each step reads, and with them every generated sample.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -33,8 +41,7 @@ def rwr_sample(
         raise ConfigError(f"ego {ego} out of range for {g.n}-node graph")
     if n_target < 1:
         raise ConfigError(f"n_target must be >= 1, got {n_target}")
-    adj = g.adjacency
-    neighbors = [np.flatnonzero(adj[v]) for v in range(g.n)]
+    neighbors = g.neighbors
     visited: set[int] = {ego}
     current = ego
     cap = 50 * n_target
@@ -42,13 +49,13 @@ def rwr_sample(
     while len(visited) < n_target and steps < cap:
         steps += 1
         nbrs = neighbors[current]
-        if rng.random() < restart_p or nbrs.size == 0:
+        if rng.random() < restart_p or not nbrs:
             current = ego
             continue
-        current = int(nbrs[rng.integers(nbrs.size)])
+        current = nbrs[rng.integers(len(nbrs))]
         visited.add(current)
     ids = sorted(visited)
-    sub_adj = adj[np.ix_(ids, ids)]
+    sub_adj = g.adjacency[np.ix_(ids, ids)]
     orig_ids = g.node_ids
     node_ids = tuple(orig_ids[i] for i in ids) if orig_ids is not None else tuple(ids)
     return SampledSubgraph(

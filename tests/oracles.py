@@ -265,3 +265,78 @@ def oracle_skipgram_sgd(w_in, walks, window, negatives, epochs, lr, rng):
             w_in -= lr * acc_in / count_in[:, None]
             w_out -= lr * acc_out / count_out[:, None]
     return w_in
+
+
+def oracle_cascade_rounds(g, seeds, p, rng):
+    """cascade_rounds with one scalar draw per edge check: each frontier node,
+    in ascending order, tries its neighbours in ascending order and draws
+    only for those still inactive."""
+    seeds = sorted(set(int(s) for s in seeds))
+    for s in seeds:
+        if not (0 <= s < g.n):
+            raise ConfigError(f"seed {s} out of range")
+    adj = g.adjacency
+    rounds = np.full(g.n, -1, dtype=np.int64)
+    rounds[seeds] = 0
+    frontier = seeds
+    r = 0
+    while frontier:
+        r += 1
+        newly = []
+        for u in frontier:
+            for v in np.flatnonzero(adj[u]):
+                if rounds[v] == -1 and rng.random() < p:
+                    rounds[v] = r
+                    newly.append(int(v))
+        frontier = sorted(set(newly))
+    return rounds
+
+
+def oracle_rwr_sample(g, ego, n_target, restart_p=0.8, rng=None):
+    """rwr_sample with each node's neighbours rebuilt from the adjacency on
+    every call: one scalar draw per step, then one integer draw when the
+    walk moves."""
+    from egoinf.graphs import UndirectedGraph
+    from egoinf.sampling import SampledSubgraph
+
+    if rng is None:
+        raise ConfigError("rwr_sample requires an explicit rng stream")
+    if not (0 <= ego < g.n):
+        raise ConfigError(f"ego {ego} out of range for {g.n}-node graph")
+    if n_target < 1:
+        raise ConfigError(f"n_target must be >= 1, got {n_target}")
+    adj = g.adjacency
+    neighbors = [np.flatnonzero(adj[v]) for v in range(g.n)]
+    visited = {ego}
+    current = ego
+    cap = 50 * n_target
+    steps = 0
+    while len(visited) < n_target and steps < cap:
+        steps += 1
+        nbrs = neighbors[current]
+        if rng.random() < restart_p or nbrs.size == 0:
+            current = ego
+            continue
+        current = int(nbrs[rng.integers(nbrs.size)])
+        visited.add(current)
+    ids = sorted(visited)
+    sub_adj = adj[np.ix_(ids, ids)]
+    orig_ids = g.node_ids
+    node_ids = tuple(orig_ids[i] for i in ids) if orig_ids is not None else tuple(ids)
+    return SampledSubgraph(
+        graph=UndirectedGraph(sub_adj, node_ids),
+        ego=ids.index(ego),
+        node_ids=tuple(ids),
+        truncated=len(visited) < n_target,
+    )
+
+
+def oracle_candidate_egos(adj, active):
+    """Inactive nodes with an active node within two hops, by integer
+    matrix-vector products."""
+    adj = np.asarray(adj).astype(np.int64)
+    active = np.asarray(active).astype(np.int64)
+    one_hop = adj @ active > 0
+    two_hop = adj @ one_hop.astype(np.int64) > 0
+    near = one_hop | two_hop | (active > 0)
+    return np.flatnonzero(near & (active == 0))

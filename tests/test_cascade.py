@@ -1,15 +1,23 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from egoinf import cascade
 from egoinf.cascade import (
     CascadeConfig,
     cascade_rounds,
     generate_dataset,
     independent_cascade,
 )
-from egoinf.errors import DataError
-from egoinf.graphs import UndirectedGraph, validate_sample
+from egoinf.errors import ConfigError, DataError
+from egoinf.graphs import UndirectedGraph, save_dataset, validate_sample
 from egoinf.rng import stream
+from egoinf.sampling import rwr_sample
+from .oracles import oracle_candidate_egos, oracle_cascade_rounds, oracle_rwr_sample
 
 
 def path_graph(n):
@@ -91,3 +99,188 @@ class TestGenerateDataset:
         for part in ("valid", "test"):
             part_labels = [labels[i] for i in ds.splits[part]]
             assert 0 in part_labels and 1 in part_labels
+
+
+def generator_state(rng):
+    """The bit generator's state with its arrays as lists, comparable by ==."""
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+
+    return plain(rng.bit_generator.state)
+
+
+@st.composite
+def graphs(draw, max_nodes=14):
+    """Random graphs with isolated nodes likely: edge density 0 to 0.6."""
+    n = draw(st.integers(1, max_nodes))
+    density = draw(st.sampled_from([0.0, 0.15, 0.3, 0.6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.random((n, n)) < density, k=1)
+    return UndirectedGraph((upper | upper.T).astype(np.int8))
+
+
+probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95))
+
+
+# one small configuration per base-graph model, with the SHA-256 of its
+# saved dataset and sidecar; the digests also pin networkx's generators
+MODELS = {
+    "watts_strogatz": (
+        dict(graph_nodes=120, ws_k=8, seed_set_size=12, samples=30, n_target=12, seed=5),
+        "f12faacb6931f656eb9b9b5d96c1f4cfd4a343183775e661d1db5dd6db3648a4",
+    ),
+    "barabasi_albert": (
+        dict(graph_model="barabasi_albert", graph_nodes=150, ba_m=2, seed_set_size=12,
+             samples=30, n_target=14, restart_p=0.5, activation_p=0.3, seed=8),
+        "17bc8ba5c3df914de6545ddb78b8b96b5474ae67cd4b6d22ebd02c0606e8b342",
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_generated_bytes_are_pinned(tmp_path, model):
+    fields, digest = MODELS[model]
+    path = tmp_path / "d.jsonl"
+    save_dataset(generate_dataset(CascadeConfig(**fields)), path)
+    data = path.read_bytes() + Path(str(path) + ".splits.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+class TestDrawsMatchPerEdgeOracle:
+    """The per-node draws take the same words from the stream as the
+    per-edge and per-step reference loops, and leave the generator where
+    those loops leave it: the same stream then picks the ego."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(g=graphs(), data=st.data(), p=probabilities, key=st.integers(0, 2**16))
+    def test_cascade_rounds(self, g, data, p, key):
+        # duplicate seeds allowed: both collapse them
+        seeds = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n + 2))
+        rng, ref = stream(key, "ic"), stream(key, "ic")
+        got = cascade_rounds(g, seeds, p, rng)
+        want = oracle_cascade_rounds(g, seeds, p, ref)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert generator_state(rng) == generator_state(ref)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        g=graphs(),
+        data=st.data(),
+        restart_p=st.one_of(st.sampled_from([0.0, 0.8]), st.floats(0.0, 0.99)),
+        key=st.integers(0, 2**16),
+    )
+    def test_rwr_sample(self, g, data, restart_p, key):
+        ego = data.draw(st.integers(0, g.n - 1))
+        # up to n + 2: a target above the ego's component size truncates
+        n_target = data.draw(st.integers(1, g.n + 2))
+        rng, ref = stream(key, "rwr"), stream(key, "rwr")
+        got = rwr_sample(g, ego, n_target, restart_p=restart_p, rng=rng)
+        want = oracle_rwr_sample(g, ego, n_target, restart_p=restart_p, rng=ref)
+        assert (got.ego, got.node_ids, got.truncated) == (want.ego, want.node_ids, want.truncated)
+        assert got.graph.node_ids == want.graph.node_ids
+        np.testing.assert_array_equal(got.graph.adjacency, want.graph.adjacency)
+        assert generator_state(rng) == generator_state(ref)
+
+    @pytest.mark.parametrize("p", [0.15, 0.5])
+    def test_cascade_rounds_on_a_base_graph(self, p):
+        # many frontier nodes per round, so the order they draw in matters
+        g = cascade.build_base_graph(CascadeConfig(**MODELS["watts_strogatz"][0]))
+        for k in range(20):
+            seeds = stream(k, "seeds").choice(g.n, size=12, replace=False)
+            rng, ref = stream(k, "ic"), stream(k, "ic")
+            np.testing.assert_array_equal(
+                cascade_rounds(g, seeds, p, rng), oracle_cascade_rounds(g, seeds, p, ref)
+            )
+            assert generator_state(rng) == generator_state(ref)
+
+    def test_isolated_ego_restarts_every_step_and_truncates(self):
+        g = UndirectedGraph.from_edges(4, [(1, 2), (2, 3)])
+        rng, ref = stream(9, "rwr"), stream(9, "rwr")
+        got = rwr_sample(g, 0, 3, restart_p=0.0, rng=rng)
+        want = oracle_rwr_sample(g, 0, 3, restart_p=0.0, rng=ref)
+        assert got.truncated and got.node_ids == want.node_ids == (0,)
+        assert generator_state(rng) == generator_state(ref)
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_generated_dataset_matches_oracles(self, monkeypatch, model):
+        cfg = CascadeConfig(**MODELS[model][0])
+        got = generate_dataset(cfg)
+        monkeypatch.setattr(cascade, "cascade_rounds", oracle_cascade_rounds)
+        monkeypatch.setattr(cascade, "rwr_sample", oracle_rwr_sample)
+        monkeypatch.setattr(cascade, "_candidate_egos", oracle_candidate_egos)
+        want = generate_dataset(cfg)
+        assert len(got.samples) == len(want.samples) == cfg.samples
+        for a, b in zip(got.samples, want.samples):
+            assert (a.sample_id, a.ego, a.label) == (b.sample_id, b.ego, b.label)
+            assert a.graph.node_ids == b.graph.node_ids
+            np.testing.assert_array_equal(a.graph.adjacency, b.graph.adjacency)
+            np.testing.assert_array_equal(a.influence_state, b.influence_state)
+            assert a.influence_state.dtype == b.influence_state.dtype
+        assert got.splits == want.splits
+        assert got.metadata == want.metadata
+
+
+class TestConfigValidation:
+    """Settings the generator cannot honour fail at construction, before
+    any graph is built."""
+
+    @pytest.mark.parametrize("fields,message", [
+        (dict(seed_set_size=0), "seed set size"),
+        (dict(seed_set_size=301), "seed set size"),
+        (dict(samples=0), "samples"),
+        (dict(samples=-3), "samples"),
+        (dict(n_target=0), "subgraph size"),
+        (dict(graph_nodes=40, seed_set_size=10, n_target=41), "subgraph size"),
+        (dict(ws_beta=-0.1), "rewiring probability"),
+        (dict(ws_beta=2.0), "rewiring probability"),
+        (dict(restart_p=1.0), "restart probability"),
+        (dict(restart_p=-0.5), "restart probability"),
+        (dict(restart_p=float("nan")), "restart probability"),
+        (dict(ws_k=1), "ws_k"),
+        (dict(ws_k=301), "ws_k"),
+        (dict(graph_model="barabasi_albert", ba_m=0), "ba_m"),
+        (dict(graph_model="barabasi_albert", ba_m=300), "ba_m"),
+        (dict(graph_model="erdos_renyi"), "unknown graph model"),
+    ])
+    def test_rejected(self, fields, message):
+        with pytest.raises(ConfigError, match=message):
+            CascadeConfig(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        dict(seed_set_size=300, n_target=300, ws_k=300, ws_beta=1.0, restart_p=0.0),
+        dict(ws_k=2, ws_beta=0.0, n_target=1, seed_set_size=1, samples=1),
+        # the other model's parameter is not checked
+        dict(graph_model="barabasi_albert", ba_m=299, ws_k=0),
+        dict(graph_model="watts_strogatz", ba_m=0),
+    ])
+    def test_bounds_accepted(self, fields):
+        CascadeConfig(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        dict(graph_nodes=10, seed_set_size=10, n_target=4, ws_k=10, samples=6,
+             activation_p=0.5, seed=1),
+        dict(graph_model="barabasi_albert", graph_nodes=12, ba_m=11, seed_set_size=1,
+             n_target=5, samples=6, activation_p=0.5, seed=1),
+        dict(graph_nodes=20, ws_k=2, ws_beta=1.0, seed_set_size=2, n_target=3, samples=6,
+             activation_p=0.5, restart_p=0.0, seed=1),
+    ], ids=["ws-complete", "ba-largest-m", "ws-ring-rewired"])
+    def test_extreme_accepted_settings_build_their_graph(self, fields):
+        cfg = CascadeConfig(**fields)
+        assert cascade.build_base_graph(cfg).n == cfg.graph_nodes
+
+
+def test_benchmark_configs_stay_valid(monkeypatch):
+    """Every cascade configuration the benchmark's workloads generate from."""
+    import importlib.util
+    import sys
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    for sizes in workloads.FULL_SIZES.values():
+        CascadeConfig(samples=sizes.egos, activation_p=workloads.ACTIVATION_P, **sizes.cascade)

@@ -662,3 +662,34 @@ def test_subgraph_size_above_node_cap_exits_2(tmp_path, capsys, no_work):
                  "--subgraph-size", str(MAX_NODES + 1)])
     assert code == 2
     assert "subgraph size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--seed-set-size", "400"], "seed set size"),
+    (["--samples", "0"], "samples must be >= 1"),
+    (["--samples", "-3"], "samples must be >= 1"),
+    (["--nodes", "5"], "for 5 graph nodes"),
+    (["--ws-k", "0"], "ws_k"),
+    (["--graph-model", "barabasi_albert", "--ba-m", "0"], "ba_m"),
+    (["--graph-model", "barabasi_albert", "--ba-m", "400"], "ba_m"),
+    (["--ws-beta", "2"], "rewiring probability"),
+    (["--restart-p", "1.5"], "restart probability"),
+], ids=["seed-set-size", "samples-0", "samples-negative", "nodes", "ws-k", "ba-m-0",
+        "ba-m-400", "ws-beta", "restart-p"])
+def test_unusable_cascade_flag_exits_2_before_any_work(tmp_path, capsys, no_work, flags, message):
+    code = main(["synth", "--out", str(tmp_path / "o"), "--samples", "20", *flags])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("field,value", [("samples", 0), ("restart_p", 1.5), ("ws_k", 0)])
+def test_unusable_cascade_setting_in_manifest_exits_3(tmp_path, capsys, no_work, field, value):
+    config = _valid_configs("unused")["synth"]
+    config["cascade"][field] = value
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "synth", "config": config, "outputs": {}}))
+    assert main(["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "manifest config rejected" in err
+    assert not (tmp_path / "o").exists()

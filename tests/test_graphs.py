@@ -220,3 +220,43 @@ def test_n_at_the_cap_loads(tmp_path):
     path.write_text(_one_node_record(MAX_NODES))
     (sample,) = load_dataset(path).samples
     assert sample.n == MAX_NODES
+
+
+class TestNeighbors:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), density=st.floats(0.0, 1.0), key=st.integers(0, 2**32 - 1))
+    def test_matches_flatnonzero_of_each_row(self, n, density, key):
+        upper = np.triu(np.random.default_rng(key).random((n, n)) < density, k=1)
+        g = UndirectedGraph((upper | upper.T).astype(np.int8))
+        assert len(g.neighbors) == n
+        for v in range(n):
+            assert list(g.neighbors[v]) == np.flatnonzero(g.adjacency[v]).tolist()
+            assert all(type(u) is int for u in g.neighbors[v])
+
+    def test_built_on_first_read_only(self):
+        g = UndirectedGraph(np.array(PATH3))
+        assert "neighbors" not in vars(g)
+        first = g.neighbors
+        assert g.neighbors is first
+        assert first == ((1,), (0, 2), (1,))
+
+    def test_generation_builds_it_once_and_egos_hold_none(self, monkeypatch):
+        from functools import cached_property
+
+        from egoinf.cascade import CascadeConfig, generate_dataset
+
+        built = []
+        build = UndirectedGraph.neighbors.func
+
+        def counted(g):
+            built.append(g.n)
+            return build(g)
+
+        prop = cached_property(counted)
+        prop.__set_name__(UndirectedGraph, "neighbors")
+        monkeypatch.setattr(UndirectedGraph, "neighbors", prop)
+        ds = generate_dataset(
+            CascadeConfig(graph_nodes=90, ws_k=8, seed_set_size=10, samples=24, n_target=10, seed=3)
+        )
+        assert built == [90]  # the base graph, read by every cascade and walk
+        assert not any("neighbors" in vars(s.graph) for s in ds.samples)
