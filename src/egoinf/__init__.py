@@ -2,7 +2,7 @@
 graph augmentation at train and test time."""
 
 from .ablation import MetricsReport, RunRecord, run_ablation, run_arm
-from .augment import AugmentationConfig, EdgeProbMatrix
+from .augment import AugmentationConfig
 from .autoenc import GaeModel, VgaeModel
 from .graphs import Dataset, EgoSample, UndirectedGraph, load_dataset, save_dataset
 from .training import AblationConfig, JointModel, ModelConfig, TrainConfig
@@ -13,7 +13,6 @@ __all__ = [
     "AblationConfig",
     "AugmentationConfig",
     "Dataset",
-    "EdgeProbMatrix",
     "EgoSample",
     "GaeModel",
     "JointModel",

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autoenc import VgaeModel
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .features import FeatureStore, feature_width
 from .graphs import Dataset, EgoSample
 from .metrics import auc, f1
@@ -103,6 +103,16 @@ class MetricsReport:
         return "\n".join(lines)
 
 
+def train_split(dataset: Dataset) -> list[EgoSample]:
+    """The train split, checked before any work: an ego graph without edges
+    is a data error, since no autoencoder can reconstruct it."""
+    samples = dataset.split_samples("train")
+    for s in samples:
+        if not s.graph.adjacency.any():
+            raise DataError(f"training sample {s.sample_id!r} has no edges")
+    return samples
+
+
 def fit_arm(
     dataset: Dataset, cfg: TrainConfig, abl: AblationConfig, seed: int,
     store: FeatureStore, vgae: VgaeModel | None = None,
@@ -110,7 +120,7 @@ def fit_arm(
     """Train one arm with one seed on the train split. The augmenter is
     pretrained only when the arm augments and none was passed in."""
     cfg_run = run_config_with_seed(cfg, seed)
-    train_samples = dataset.split_samples("train")
+    train_samples = train_split(dataset)
     if vgae is None and (abl.train_aug or abl.test_aug):
         vgae = pretrain_augmenter(train_samples, cfg_run, store, seed)
     model = JointModel.create(cfg_run, feature_width=feature_width(cfg.deepwalk), seed=seed)
@@ -161,7 +171,7 @@ def run_ablation(
     if not arms:
         raise ConfigError("run_ablation: no arms given")
     check_run_seeds(seeds)
-    train_samples = dataset.split_samples("train")
+    train_samples = train_split(dataset)
     dataset.split_samples("test")  # an empty test split fails before any work
     augments = any(abl.train_aug or abl.test_aug for abl in arms)
     records: list[RunRecord] = []

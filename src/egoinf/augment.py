@@ -7,7 +7,7 @@ ever gain edges; ego, state and label are untouched.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,21 +17,6 @@ from .errors import ConfigError
 from .graphs import EgoSample, UndirectedGraph
 from .layers import normalized_adjacency
 from .rng import check_seed, stream
-
-
-@dataclass(frozen=True)
-class EdgeProbMatrix:
-    probs: np.ndarray  # n x n symmetric, entries in (0, 1); diagonal unused
-    provenance: str = ""
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
-
-    @property
-    def n(self) -> int:
-        return self.probs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -52,9 +37,10 @@ def edge_probabilities(
     sample: EgoSample,
     vgae: VgaeModel,
     features: np.ndarray | None = None,
-) -> EdgeProbMatrix:
+) -> np.ndarray:
     """Decode deterministic (eval mode, Z = mean) edge probabilities for one
-    sample. features=None falls back to one-hot rows, which requires the
+    sample: a read-only symmetric n x n array, entries in (0, 1), diagonal
+    unused. features=None falls back to one-hot rows, which requires the
     model to have been trained on width-n inputs."""
     n = sample.n
     x = np.eye(n) if features is None else np.asarray(features, dtype=np.float64)
@@ -68,15 +54,15 @@ def edge_probabilities(
     tape = Tape()
     a_hat = normalized_adjacency(sample.graph.adjacency)
     z, _, _ = vgae_encode(tape, vgae, tape.leaf(x), tape.leaf(a_hat))
-    m = inner_product_decode(tape, z)
-    return EdgeProbMatrix(probs=m.values, provenance=f"vgae-d{vgae.d}:{sample.sample_id}")
+    probs = inner_product_decode(tape, z).values
+    probs.flags.writeable = False
+    return probs
 
 
 def candidate_edges(
-    m: EdgeProbMatrix, adjacency: np.ndarray, threshold: float
+    probs: np.ndarray, adjacency: np.ndarray, threshold: float
 ) -> list[tuple[int, int]]:
     """Non-edges (i < j) whose probability strictly exceeds the threshold."""
-    probs = m.probs
     adj = np.asarray(adjacency)
     if adj.shape != probs.shape:
         raise ConfigError(f"candidate_edges: adjacency {adj.shape} vs probs {probs.shape}")
@@ -96,25 +82,20 @@ def _pair_uniforms(n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_augmentation(
-    sample: EgoSample,
+    graph: UndirectedGraph,
     candidates: list[tuple[int, int]],
-    m: EdgeProbMatrix,
+    probs: np.ndarray,
     rng: np.random.Generator,
-) -> EgoSample:
-    """Add each candidate edge independently with its decoded probability."""
-    u = _pair_uniforms(sample.n, rng)
-    adj = np.array(sample.graph.adjacency, dtype=np.int8)
+) -> UndirectedGraph:
+    """The graph plus each candidate edge, added independently with its
+    decoded probability."""
+    u = _pair_uniforms(graph.n, rng)
+    adj = np.array(graph.adjacency, dtype=np.int8)
     for i, j in candidates:
-        if u[i, j] < m.probs[i, j]:
+        if u[i, j] < probs[i, j]:
             adj[i, j] = 1
             adj[j, i] = 1
-    return EgoSample(
-        graph=UndirectedGraph(adj, sample.graph.node_ids),
-        ego=sample.ego,
-        influence_state=sample.influence_state,
-        label=sample.label,
-        sample_id=sample.sample_id,
-    )
+    return UndirectedGraph(adj, graph.node_ids)
 
 
 def generate_augmentations(
@@ -123,23 +104,16 @@ def generate_augmentations(
     cfg: AugmentationConfig,
     features: np.ndarray | None = None,
 ) -> list[EgoSample]:
-    """Q independent augmented copies; copy k draws from the stream keyed by
-    (master seed, sample id, k), so results do not depend on call order."""
+    """Q independent augmented copies, copy k named ``<id>#a<k>``; copy k
+    draws from the stream keyed by (master seed, sample id, k), so results
+    do not depend on call order."""
     if cfg.count == 0:
         return []
-    m = edge_probabilities(sample, vgae, features=features)
-    candidates = candidate_edges(m, sample.graph.adjacency, cfg.threshold)
+    probs = edge_probabilities(sample, vgae, features=features)
+    candidates = candidate_edges(probs, sample.graph.adjacency, cfg.threshold)
     out = []
     for k in range(cfg.count):
         rng = stream(cfg.seed, "aug", sample.sample_id, k)
-        aug = sample_augmentation(sample, candidates, m, rng)
-        out.append(
-            EgoSample(
-                graph=aug.graph,
-                ego=aug.ego,
-                influence_state=aug.influence_state,
-                label=aug.label,
-                sample_id=f"{sample.sample_id}#a{k}",
-            )
-        )
+        graph = sample_augmentation(sample.graph, candidates, probs, rng)
+        out.append(replace(sample, graph=graph, sample_id=f"{sample.sample_id}#a{k}"))
     return out

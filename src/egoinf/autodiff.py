@@ -262,21 +262,15 @@ class Tape:
         pos = a.values > 0
         return self._record(np.where(pos, a.values, 0.0), (a,), lambda g: (g * pos,))
 
-    def elu(self, a: Tensor, alpha: float = 1.0) -> Tensor:
+    def elu(self, a: Tensor) -> Tensor:
         x = a.values
         pos = x > 0
-        y = np.where(pos, x, alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
+        y = np.where(pos, x, np.exp(np.minimum(x, 0.0)) - 1.0)
 
         def bw(g):
-            return (g * np.where(pos, 1.0, y + alpha),)
+            return (g * np.where(pos, 1.0, y + 1.0),)
 
         return self._record(y, (a,), bw)
-
-    def leaky_relu(self, a: Tensor, slope: float = 0.2) -> Tensor:
-        x = a.values
-        pos = x > 0
-        y = np.where(pos, x, slope * x)
-        return self._record(y, (a,), lambda g: (g * np.where(pos, 1.0, slope),))
 
     def clip(self, a: Tensor, lo: float, hi: float) -> Tensor:
         x = a.values

@@ -20,7 +20,14 @@ import types
 import typing
 from pathlib import Path
 
-from .ablation import check_run_seeds, fit_arm, run_ablation, run_arm, score_arm
+from .ablation import (
+    check_run_seeds,
+    fit_arm,
+    run_ablation,
+    run_arm,
+    score_arm,
+    train_split,
+)
 from .augment import AugmentationConfig, generate_augmentations
 from .autoenc import LOGVAR_CLAMP, VgaeModel
 from .cascade import CascadeConfig, generate_dataset
@@ -237,7 +244,7 @@ def do_train(config: dict, out: Path) -> None:
 
 def do_eval(config: dict, out: Path) -> None:
     model, cfg, ckpt_arm = load_joint_model(Path(config["model_ckpt"]))
-    arm = int(config.get("arm") or ckpt_arm)
+    arm = ckpt_arm if config["arm"] is None else int(config["arm"])
     abl = AblationConfig.from_arm(arm)
     dataset = load_dataset(config["data"])
     split = config.get("split", "test")
@@ -307,6 +314,13 @@ def _augmentation_edge_stats(samples, vgae, aug_cfg, store) -> float:
     return 100.0 * added / orig if orig else 0.0
 
 
+def _sweep_count(value) -> int:
+    """A count sweep's grid value as an int; it must be a whole number."""
+    if not float(value).is_integer():
+        raise ConfigError(f"a count sweep takes whole numbers, got {value}")
+    return int(value)
+
+
 def do_sweep(config: dict, out: Path) -> None:
     cfg = train_config_from_dict(config["train"])
     check_run_seeds(config["seeds"])
@@ -316,7 +330,7 @@ def do_sweep(config: dict, out: Path) -> None:
     if not (abl.train_aug or abl.test_aug):
         raise ConfigError(f"sweep needs an arm with augmentation, got arm {arm}")
     mode = config["mode"]
-    cast = {"count": int, "threshold": float}.get(mode)
+    cast = {"count": _sweep_count, "threshold": float}.get(mode)
     if cast is None:
         raise ConfigError(f"sweep mode must be count or threshold, got {mode}")
     grid = config["grid"]
@@ -324,7 +338,7 @@ def do_sweep(config: dict, out: Path) -> None:
         dataclasses.replace(cfg, aug=dataclasses.replace(cfg.aug, **{mode: cast(v)}))
         for v in grid
     ]
-    train_samples = dataset.split_samples("train")
+    train_samples = train_split(dataset)
     dataset.split_samples("test")  # an empty test split fails before any work
 
     rows = []
@@ -586,9 +600,7 @@ def _dispatch(args) -> None:
         if grid is None:
             grid = list(range(1, 9)) if args.sweep == "count" else [0.6, 0.7, 0.8, 0.9]
         elif args.sweep == "count":
-            if not all(v.is_integer() for v in grid):
-                raise ConfigError(f"a count sweep takes whole numbers, got {grid}")
-            grid = [int(v) for v in grid]
+            grid = [_sweep_count(v) for v in grid]
         config = {
             "data": str(Path(args.data).resolve()),
             "arm": args.arm,

@@ -4,13 +4,18 @@ All forwards run on a Tape so the classification loss differentiates
 end to end. Layers are bias-free parameter holders; weights are plain
 fp64 arrays updated in place by the optimizer between tapes.
 
+Layers carry no activation. The head applies ELU after every layer but
+the last, whose output is the logits (for GAT, the mean over its heads),
+as in GAT (Velickovic et al., 2018) and DeepInf (Qiu et al., 2018).
+
 A GAT layer stores all heads in one weight and one attention matrix, so
-it records the same five nodes (seven for the averaging output layer)
+it records the same four nodes (six for the averaging output layer)
 whatever its head count: two parameter leaves, one projection matmul and
-one ``Tape.gat_heads`` node that computes every head at once. Attention
-scores and their softmax cost O(H*E) over the E edges of the attention
-mask (neighbours plus self); the aggregation multiplies a dense (H, n, n)
-coefficient array with BLAS.
+one ``Tape.gat_heads`` node that computes every head at once; the head
+adds one ELU node after each hidden layer. Attention scores and their
+softmax cost O(H*E) over the E edges of the attention mask (neighbours
+plus self); the aggregation multiplies a dense (H, n, n) coefficient
+array with BLAS.
 """
 from __future__ import annotations
 
@@ -44,26 +49,13 @@ def normalized_adjacency(adj: np.ndarray) -> np.ndarray:
     return at * dinv[:, None] * dinv[None, :]
 
 
-def _activate(tape: Tape, x: Tensor, activation: str) -> Tensor:
-    if activation == "identity":
-        return x
-    if activation == "relu":
-        return tape.relu(x)
-    if activation == "elu":
-        return tape.elu(x)
-    if activation == "leaky_relu":
-        return tape.leaky_relu(x, LEAKY_SLOPE)
-    raise ConfigError(f"unknown activation '{activation}'")
-
-
 @dataclass
 class GcnLayer:
     weight: np.ndarray  # (f_in, f_out)
-    activation: str = "elu"
 
     @classmethod
-    def create(cls, f_in: int, f_out: int, rng, activation: str = "elu") -> "GcnLayer":
-        return cls(weight=glorot(f_in, f_out, rng), activation=activation)
+    def create(cls, f_in: int, f_out: int, rng) -> "GcnLayer":
+        return cls(weight=glorot(f_in, f_out, rng))
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"w": self.weight}
@@ -78,32 +70,21 @@ class GatLayer:
     columns k*f_out:(k+1)*f_out, and ``att`` (2*f_out, H) holds head k's
     attention vector in column k, source half first. Hidden layers
     concatenate head outputs; the output layer averages them (one matmul
-    against stacked identities) before the activation so the width stays
-    f_out.
+    against stacked identities) so the width stays f_out.
     """
 
     weight: np.ndarray  # (f_in, H*f_out)
     att: np.ndarray  # (2*f_out, H)
-    slope: float = LEAKY_SLOPE
     concat: bool = True
-    activation: str = "elu"
 
     @classmethod
     def create(
-        cls,
-        f_in: int,
-        f_out: int,
-        heads: int,
-        rng,
-        concat: bool = True,
-        activation: str = "elu",
+        cls, f_in: int, f_out: int, heads: int, rng, concat: bool = True
     ) -> "GatLayer":
         # per-head draws, every projection before every attention vector
         ws = [glorot(f_in, f_out, rng) for _ in range(heads)]
         atts = [glorot(2 * f_out, 1, rng) for _ in range(heads)]
-        return cls(
-            weight=np.hstack(ws), att=np.hstack(atts), concat=concat, activation=activation
-        )
+        return cls(weight=np.hstack(ws), att=np.hstack(atts), concat=concat)
 
     @property
     def heads(self) -> int:
@@ -134,7 +115,7 @@ def gat_attention(
     neighbours plus self."""
     _check_width("gat_attention", layer, h)
     alpha, _ = attention_weights(
-        h.values @ layer.weight, layer.att, _attention_mask(adj), layer.heads, layer.slope
+        h.values @ layer.weight, layer.att, _attention_mask(adj), layer.heads, LEAKY_SLOPE
     )
     return [tape.leaf(a) for a in alpha]
 
@@ -143,13 +124,13 @@ def gat_forward(tape: Tape, layer: GatLayer, h: Tensor, adj: np.ndarray) -> Tens
     _check_width("gat_forward", layer, h)
     hw = tape.matmul(h, tape.leaf(layer.weight))
     out = tape.gat_heads(
-        hw, tape.leaf(layer.att), _attention_mask(adj), layer.heads, layer.slope
+        hw, tape.leaf(layer.att), _attention_mask(adj), layer.heads, LEAKY_SLOPE
     )
     if not layer.concat:
         # mean over heads: (n, H*f) @ H stacked f x f identities / H
         avg = np.tile(np.eye(layer.f_out), (layer.heads, 1)) / layer.heads
         out = tape.matmul(out, tape.leaf(avg))
-    return _activate(tape, out, layer.activation)
+    return out
 
 
 def gcn_forward(tape: Tape, layer: GcnLayer, h: Tensor, a_hat: Tensor) -> Tensor:
@@ -158,16 +139,16 @@ def gcn_forward(tape: Tape, layer: GcnLayer, h: Tensor, a_hat: Tensor) -> Tensor
             f"gcn_forward: features {h.shape} vs weight {layer.weight.shape}"
         )
     w = tape.leaf(layer.weight)
-    return _activate(tape, tape.matmul(tape.matmul(a_hat, h), w), layer.activation)
+    return tape.matmul(tape.matmul(a_hat, h), w)
 
 
 @dataclass
 class PredictionNet:
-    """Stack of GNN layers ending in a 2-unit output row per node."""
+    """Stack of GNN layers ending in a 2-unit (two-class) output row per
+    node."""
 
     layers: list = field(default_factory=list)
     dropout: float = 0.2
-    variant: str = "gat"
 
     def parameters(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
@@ -184,26 +165,25 @@ def build_prediction_net(
     heads: int,
     dropout: float,
     rng,
-    classes: int = 2,
 ) -> PredictionNet:
     if variant == "gat":
         if hidden % heads != 0:
             raise ConfigError(f"hidden={hidden} not divisible by heads={heads}")
         per_head = hidden // heads
         layers = [
-            GatLayer.create(f_in, per_head, heads, rng, concat=True, activation="elu"),
-            GatLayer.create(hidden, per_head, heads, rng, concat=True, activation="elu"),
-            GatLayer.create(hidden, classes, heads, rng, concat=False, activation="identity"),
+            GatLayer.create(f_in, per_head, heads, rng),
+            GatLayer.create(hidden, per_head, heads, rng),
+            GatLayer.create(hidden, 2, heads, rng, concat=False),
         ]
     elif variant == "gcn":
         layers = [
-            GcnLayer.create(f_in, hidden, rng, activation="elu"),
-            GcnLayer.create(hidden, hidden, rng, activation="elu"),
-            GcnLayer.create(hidden, classes, rng, activation="identity"),
+            GcnLayer.create(f_in, hidden, rng),
+            GcnLayer.create(hidden, hidden, rng),
+            GcnLayer.create(hidden, 2, rng),
         ]
     else:
         raise ConfigError(f"unknown model variant '{variant}'")
-    return PredictionNet(layers=layers, dropout=dropout, variant=variant)
+    return PredictionNet(layers=layers, dropout=dropout)
 
 
 def prediction_forward(
@@ -214,9 +194,12 @@ def prediction_forward(
     a_hat: Tensor,
     drop_rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Run the head; drop_rng=None disables dropout (eval mode)."""
+    """Run the head, ELU after every layer but the last; drop_rng=None
+    disables dropout (eval mode)."""
     x = h
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
+        if i:
+            x = tape.elu(x)
         x = tape.dropout(x, net.dropout, drop_rng)
         if isinstance(layer, GatLayer):
             x = gat_forward(tape, layer, x, adj)

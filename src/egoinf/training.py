@@ -109,10 +109,6 @@ class JointModel:
     gae: GaeModel
     head: PredictionNet
 
-    @property
-    def variant(self) -> str:
-        return self.head.variant
-
     @classmethod
     def create(cls, cfg: TrainConfig, feature_width: int, seed: int) -> "JointModel":
         mc = cfg.model
@@ -159,12 +155,12 @@ def sample_loss(
     drop_rng,
     frozen_z: np.ndarray | None = None,
 ):
-    """Per-sample loss node plus its scalar components (nll, recon)."""
+    """Per-sample loss node plus its scalar components (nll, recon). A joint
+    loss encodes through the branch on the tape; otherwise frozen_z is the
+    frozen branch's embedding (``frozen_encode``)."""
     if joint:
         z = gae_encode(tape, model.gae, tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat))
     else:
-        if frozen_z is None:
-            frozen_z = frozen_encode(model.gae, fb)
         z = tape.leaf(frozen_z)
     logits = _forward_logits(tape, model, fb, z, drop_rng)
     nll = ego_nll(tape, logits, sample.ego, sample.label)
@@ -198,17 +194,17 @@ def train_joint(
     cfg: TrainConfig,
     abl: AblationConfig,
     vgae: VgaeModel | None = None,
-    store: FeatureStore | None = None,
+    *,
+    store: FeatureStore,
 ):
-    """Fit the model on the given samples under the arm's switches.
+    """Fit the model on the given samples under the arm's switches, with
+    features from the caller's store.
 
     Returns (model, trace); trace rows carry the per-epoch mean loss and
     its components over the effective training set.
     """
     if not samples:
         raise ConfigError("train_joint: empty training set")
-    if store is None:
-        store = FeatureStore(cfg.seed, cfg.deepwalk)
     effective = (
         _augmented_training_set(samples, vgae, cfg, store)
         if abl.train_aug
@@ -271,13 +267,11 @@ def predict(
     abl: AblationConfig,
     vgae: VgaeModel | None,
     cfg: TrainConfig,
-    store: FeatureStore | None = None,
+    store: FeatureStore,
 ) -> float:
-    """Probability that the ego takes the action. With test-time
-    augmentation on, class probabilities are averaged over the original
-    plus its Q augmented variants."""
-    if store is None:
-        store = FeatureStore(cfg.seed, cfg.deepwalk)
+    """Probability that the ego takes the action, with features from the
+    caller's store. With test-time augmentation on, class probabilities are
+    averaged over the original plus its Q augmented variants."""
     variants = [sample]
     if abl.test_aug and cfg.aug.count > 0:
         if vgae is None:

@@ -87,7 +87,15 @@ def row_softmax_masked(tape, a, mask):
     return tape._record(alpha, (a,), bw)
 
 
-def oracle_gat_chain(tape, layer, h, adj):
+def leaky_relu(tape, a, slope):
+    """max(x, slope * x) entrywise, as a node on tape: the generic primitive
+    the per-head GAT reference scores with."""
+    pos = a.values > 0
+    y = np.where(pos, a.values, slope * a.values)
+    return tape._record(y, (a,), lambda g: (g * np.where(pos, 1.0, slope),))
+
+
+def oracle_gat_chain(tape, layer, h, adj, slope=0.2):
     """A GAT layer built head by head from generic tape primitives: head k
     as column block k of the stacked weight and attention matrices, slices
     of the attention vector, broadcasts as matmuls against ones, leaky-ReLU
@@ -107,7 +115,7 @@ def oracle_gat_chain(tape, layer, h, adj):
             tape.matmul(f, tape.leaf(np.ones((1, n)))),
             tape.matmul(tape.leaf(np.ones((n, 1))), tape.transpose(g)),
         )
-        alpha = row_softmax_masked(tape, tape.leaky_relu(scores, layer.slope), mask)
+        alpha = row_softmax_masked(tape, leaky_relu(tape, scores, slope), mask)
         outputs.append(tape.matmul(alpha, hw))
     if layer.concat:
         out = tape.concat_cols(outputs)
@@ -116,10 +124,24 @@ def oracle_gat_chain(tape, layer, h, adj):
         for o in outputs[1:]:
             out = tape.add(out, o)
         out = tape.scale(out, 1.0 / layer.heads)
-    if layer.activation == "elu":
-        return tape.elu(out)
-    assert layer.activation == "identity", layer.activation
     return out
+
+
+def oracle_elu(x):
+    return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
+
+
+def oracle_layer(layer, h, adj):
+    """One head layer without activation: a GAT layer head by head through
+    oracle_gat_attention, heads concatenated or averaged; a GCN layer as
+    A_hat H W."""
+    if not hasattr(layer, "att"):
+        return oracle_normalized_adjacency(adj) @ h @ layer.weight
+    outs = []
+    for k in range(layer.heads):
+        w, a = gat_head(layer, k)
+        outs.append(oracle_gat_attention(h, w, a, adj) @ (h @ w))
+    return np.hstack(outs) if layer.concat else sum(outs) / layer.heads
 
 
 def oracle_sigmoid(x):

@@ -118,14 +118,14 @@ def _fd_case_gcn(rng):
     adj = random_adjacency(n, rng)
     a_hat = normalized_adjacency(adj)
     h = rng.standard_normal((n, 3))
-    layer = GcnLayer.create(3, 2, rng, activation="elu")
+    layer = GcnLayer.create(3, 2, rng)
     live = layer.parameters()
 
     def f(params):
         for k in live:
             live[k][...] = params[k]
         t = Tape()
-        out = gcn_forward(t, layer, t.leaf(h), t.leaf(a_hat))
+        out = t.elu(gcn_forward(t, layer, t.leaf(h), t.leaf(a_hat)))
         loss = t.mean(out)
         t.backward(loss)
         return float(loss.values[0, 0]), {k: t.grad(v) for k, v in live.items()}
@@ -137,14 +137,14 @@ def _fd_case_gat(rng, heads):
     n = int(rng.integers(3, 9))
     adj = random_adjacency(n, rng)
     h = rng.standard_normal((n, 3))
-    layer = GatLayer.create(3, 2, heads, rng, concat=True, activation="elu")
+    layer = GatLayer.create(3, 2, heads, rng, concat=True)
     live = layer.parameters()
 
     def f(params):
         for k in live:
             live[k][...] = params[k]
         t = Tape()
-        out = gat_forward(t, layer, t.leaf(h), adj)
+        out = t.elu(gat_forward(t, layer, t.leaf(h), adj))
         loss = t.mean(out)
         t.backward(loss)
         return float(loss.values[0, 0]), {k: t.grad(v) for k, v in live.items()}
@@ -276,7 +276,7 @@ def test_c2_oracle_equivalence():
         h = rng.standard_normal((n, 3))
         w = rng.standard_normal((3, 2))
         t = Tape()
-        got = gcn_forward(t, GcnLayer(weight=w, activation="identity"), t.leaf(h), t.leaf(a_hat))
+        got = gcn_forward(t, GcnLayer(weight=w), t.leaf(h), t.leaf(a_hat))
         worst = max(worst, np.abs(got.values - oracle_gcn(h, w, a_hat)).max())
 
         layer = GatLayer.create(3, 2, 1, rng)
@@ -340,8 +340,8 @@ def test_c4_augmentation_properties():
     assert cands, "acceptance case needs a nonempty candidate set"
 
     base_edges = sample.graph.num_edges
-    expected = sum(m.probs[i, j] for i, j in cands)
-    var = sum(m.probs[i, j] * (1 - m.probs[i, j]) for i, j in cands)
+    expected = sum(m[i, j] for i, j in cands)
+    var = sum(m[i, j] * (1 - m[i, j]) for i, j in cands)
     total_added = 0
     superset_ok = True
     threshold_ok = True
@@ -352,7 +352,7 @@ def test_c4_augmentation_properties():
         diff = aug.graph.adjacency.astype(int) - sample.graph.adjacency.astype(int)
         superset_ok &= bool((diff >= 0).all())
         for i, j in zip(*np.nonzero(np.triu(diff, 1))):
-            threshold_ok &= bool(m.probs[i, j] > threshold)
+            threshold_ok &= bool(m[i, j] > threshold)
         total_added += aug.graph.num_edges - base_edges
     mean_added = total_added / trials
     stderr = math.sqrt(var / trials)

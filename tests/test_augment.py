@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from egoinf.augment import (
     AugmentationConfig,
-    EdgeProbMatrix,
     candidate_edges,
     edge_probabilities,
     generate_augmentations,
@@ -29,7 +28,7 @@ def make_sample(adj, ego=0, sid="s0"):
 
 
 def prob_matrix(probs):
-    return EdgeProbMatrix(probs=np.asarray(probs, dtype=np.float64))
+    return np.asarray(probs, dtype=np.float64)
 
 
 def random_sample(n, rng, sid="r"):
@@ -43,7 +42,8 @@ class TestEdgeProbabilities:
         vgae = VgaeModel(w0=np.zeros((4, 3)), w1_mu=np.zeros((3, 2)), w1_logvar=np.zeros((3, 2)))
         s = random_sample(4, np.random.default_rng(0))
         m = edge_probabilities(s, vgae)
-        np.testing.assert_array_equal(m.probs, np.full((4, 4), 0.5))
+        np.testing.assert_array_equal(m, np.full((4, 4), 0.5))
+        assert not m.flags.writeable
 
     def test_deterministic_across_calls(self):
         rng = np.random.default_rng(1)
@@ -51,7 +51,7 @@ class TestEdgeProbabilities:
         s = random_sample(5, rng)
         m1 = edge_probabilities(s, vgae)
         m2 = edge_probabilities(s, vgae)
-        np.testing.assert_array_equal(m1.probs, m2.probs)
+        np.testing.assert_array_equal(m1, m2)
 
     def test_matches_sigmoid_of_mean_inner_product(self):
         from egoinf.autodiff import Tape
@@ -66,7 +66,7 @@ class TestEdgeProbabilities:
         _, mu, _ = vgae_encode(t, vgae, t.leaf(np.eye(6)), t.leaf(a_hat))
         expected = 1.0 / (1.0 + np.exp(-(mu.values @ mu.values.T)))
         m = edge_probabilities(s, vgae)
-        np.testing.assert_allclose(m.probs, expected, atol=1e-12)
+        np.testing.assert_allclose(m, expected, atol=1e-12)
 
     def test_feature_width_mismatch(self):
         vgae = VgaeModel.create(9, 4, 2, np.random.default_rng(3))
@@ -112,8 +112,8 @@ class TestSampleAugmentation:
     def test_empty_candidates_identity(self):
         s = make_sample([[0, 1], [1, 0]])
         m = prob_matrix(np.full((2, 2), 0.5))
-        out = sample_augmentation(s, [], m, stream(0, "t"))
-        np.testing.assert_array_equal(out.graph.adjacency, s.graph.adjacency)
+        out = sample_augmentation(s.graph, [], m, stream(0, "t"))
+        np.testing.assert_array_equal(out.adjacency, s.graph.adjacency)
 
     def test_near_certain_edge_always_added(self):
         s = make_sample(np.zeros((3, 3)))
@@ -121,8 +121,8 @@ class TestSampleAugmentation:
         m = prob_matrix(probs)
         cands = [(0, 1)]
         for k in range(1000):
-            out = sample_augmentation(s, cands, m, stream(k, "trial"))
-            assert out.graph.adjacency[0, 1] == 1
+            out = sample_augmentation(s.graph, cands, m, stream(k, "trial"))
+            assert out.adjacency[0, 1] == 1
 
     def test_fixed_stream_reproduces_augmentation(self):
         rng = np.random.default_rng(5)
@@ -131,9 +131,9 @@ class TestSampleAugmentation:
         probs = (probs + probs.T) / 2
         m = prob_matrix(probs)
         cands = candidate_edges(m, s.graph.adjacency, 0.3)
-        a1 = sample_augmentation(s, cands, m, stream(9, "x"))
-        a2 = sample_augmentation(s, cands, m, stream(9, "x"))
-        np.testing.assert_array_equal(a1.graph.adjacency, a2.graph.adjacency)
+        a1 = sample_augmentation(s.graph, cands, m, stream(9, "x"))
+        a2 = sample_augmentation(s.graph, cands, m, stream(9, "x"))
+        np.testing.assert_array_equal(a1.adjacency, a2.adjacency)
 
 
 class TestGenerateAugmentations:
@@ -162,7 +162,7 @@ class TestGenerateAugmentations:
             diff = aug.graph.adjacency.astype(int) - s.graph.adjacency.astype(int)
             assert (diff >= 0).all()  # superset, never removes
             for i, j in zip(*np.nonzero(np.triu(diff, 1))):
-                assert m.probs[i, j] > cfg.threshold
+                assert m[i, j] > cfg.threshold
 
     def test_metadata_fields_untouched(self):
         vgae, s = self.vgae_and_sample(3)
@@ -177,8 +177,8 @@ class TestGenerateAugmentations:
         threshold = 0.5
         cands = candidate_edges(m, s.graph.adjacency, threshold)
         assert cands, "need a nonempty candidate set for this check"
-        expected = sum(m.probs[i, j] for i, j in cands)
-        var = sum(m.probs[i, j] * (1 - m.probs[i, j]) for i, j in cands)
+        expected = sum(m[i, j] for i, j in cands)
+        var = sum(m[i, j] * (1 - m[i, j]) for i, j in cands)
         trials = 1000
         base_edges = s.graph.num_edges
         total_added = 0

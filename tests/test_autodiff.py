@@ -6,7 +6,7 @@ import pytest
 from egoinf.autodiff import Tape, grad_check
 from egoinf.errors import ConfigError, DimensionError, NumericsError
 
-from .oracles import row_softmax_masked
+from .oracles import leaky_relu, row_softmax_masked
 
 
 def toy(shape, seed=0):
@@ -27,7 +27,7 @@ class TestPrimitiveValues:
 
     def test_elu_at_minus_one(self):
         t = Tape()
-        out = t.elu(t.leaf(np.array([[-1.0]])), alpha=1.0)
+        out = t.elu(t.leaf(np.array([[-1.0]])))
         assert out.values[0, 0] == pytest.approx(math.exp(-1) - 1, abs=1e-12)
 
     def test_masked_softmax_rows_sum_to_one_and_masked_are_zero(self):
@@ -151,7 +151,7 @@ def composite_loss(params, x, mask, drop=None):
     h = t.hadamard(h, t.sigmoid(h))
     att = row_softmax_masked(t, t.matmul(h, t.transpose(h)), mask)
     out = t.matmul(att, t.matmul(h, v))
-    z = t.concat_cols([out, t.leaky_relu(out, 0.2)])
+    z = t.concat_cols([out, leaky_relu(t, out, 0.2)])
     z = t.slice_cols(z, 0, z.cols - 1)
     loss = t.add(
         t.mean(z),
@@ -261,9 +261,10 @@ class TestGradCheck:
 
     def test_smooth_primitive_sweep_over_100_seeds(self):
         # central differences at step 1e-5 / tol 1e-4 across the smooth
-        # primitives; relu/leaky_relu/elu get their own 100-seed sweep
-        # through the layer gradient suite, where a finite-difference
-        # probe cannot straddle a kink picked by this composite
+        # primitives; relu, elu and the attention's leaky-ReLU get their
+        # own 100-seed sweep through the layer gradient suite, where a
+        # finite-difference probe cannot straddle a kink picked by this
+        # composite
         def with_ops(p, x, mask, eps_arr, drop_seed):
             t = Tape()
             w = t.leaf(p["w"])

@@ -693,3 +693,60 @@ def test_unusable_cascade_setting_in_manifest_exits_3(tmp_path, capsys, no_work,
     err = capsys.readouterr().err
     assert "data error" in err and "manifest config rejected" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture
+def no_features(monkeypatch):
+    """Fails the test if a command starts computing DeepWalk features."""
+    from egoinf import features
+
+    def fail(*args, **kwargs):
+        raise AssertionError("DeepWalk ran")
+
+    monkeypatch.setattr(features, "deepwalk_embed", fail)
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train", ["--arm", "1"]),
+    ("ablate", ["--arms", "1,8", "--runs", "1"]),
+    ("sweep", ["--sweep", "count", "--grid", "1"]),
+])
+def test_edgeless_training_graph_exits_3_before_any_work(
+    synth_dir, tmp_path, capsys, no_pretraining, no_features, command, flags
+):
+    splits = json.loads((synth_dir / "dataset.jsonl.splits.json").read_text())
+    victim = splits["train"][1]
+    records = (synth_dir / "dataset.jsonl").read_text().splitlines()
+    record = json.loads(records[victim])
+    record["edges"] = []
+    records[victim] = json.dumps(record)
+    data = tmp_path / "dataset.jsonl"
+    data.write_text("\n".join(records) + "\n")
+    (tmp_path / "dataset.jsonl.splits.json").write_text(json.dumps(splits))
+    code = main([command, "--data", str(data), "--out", str(tmp_path / "o"),
+                 *flags, *FAST_TRAIN_FLAGS])
+    assert code == 3
+    assert f"training sample {record['id']!r} has no edges" in capsys.readouterr().err
+
+
+def test_non_integer_count_in_sweep_manifest_exits_3(synth_dir, tmp_path, capsys, no_pretraining):
+    config = _valid_configs(str(synth_dir / "dataset.jsonl"))["sweep"]
+    config["grid"] = [1.5, 2]
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "sweep", "config": config, "outputs": {}}))
+    assert main(["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "a count sweep takes whole numbers, got 1.5" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_arm_zero_in_eval_manifest_exits_3(synth_dir, trained_dir, tmp_path, capsys):
+    config = _valid_configs(str(synth_dir / "dataset.jsonl"))["eval"]
+    config.update(model_ckpt=str(trained_dir / "model.ckpt"),
+                  vgae_ckpt=str(trained_dir / "vgae.ckpt"), arm=0)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "eval", "config": config, "outputs": {}}))
+    assert main(["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "arm must be 1..8, got 0" in err
+    assert not (tmp_path / "o").exists()

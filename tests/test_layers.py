@@ -5,6 +5,7 @@ import pytest
 
 from egoinf.autodiff import Tape, grad_check
 from egoinf.errors import ConfigError
+from egoinf.features import DeepWalkConfig, feature_width
 from egoinf.layers import (
     GatLayer,
     GcnLayer,
@@ -18,13 +19,16 @@ from egoinf.layers import (
     prediction_forward,
     softmax_row,
 )
+from egoinf.training import ModelConfig
 
 
 from .oracles import (
     gat_head,
+    oracle_elu,
     oracle_gat_attention,
     oracle_gat_chain,
     oracle_gcn,
+    oracle_layer,
     oracle_normalized_adjacency,
     random_adjacency,
 )
@@ -83,14 +87,14 @@ class TestGcnForward:
     def test_identity_weight_edgeless_graph(self):
         n = 3
         h = rng_for(0).standard_normal((n, n))
-        layer = GcnLayer(weight=np.eye(n), activation="identity")
+        layer = GcnLayer(weight=np.eye(n))
         t = Tape()
         a_hat = t.leaf(normalized_adjacency(np.zeros((n, n))))
         out = gcn_forward(t, layer, t.leaf(h), a_hat)
         np.testing.assert_allclose(out.values, h, atol=1e-15)
 
     def test_zero_input_zero_output(self):
-        layer = GcnLayer(weight=rng_for(1).standard_normal((4, 2)), activation="elu")
+        layer = GcnLayer(weight=rng_for(1).standard_normal((4, 2)))
         t = Tape()
         a_hat = t.leaf(normalized_adjacency(random_adjacency(5, rng_for(2))))
         out = gcn_forward(t, layer, t.leaf(np.zeros((5, 4))), a_hat)
@@ -104,9 +108,7 @@ class TestGcnForward:
             w = rng.standard_normal((fi, fo))
             a_hat = normalized_adjacency(random_adjacency(n, rng))
             t = Tape()
-            out = gcn_forward(
-                t, GcnLayer(weight=w, activation="identity"), t.leaf(h), t.leaf(a_hat)
-            )
+            out = gcn_forward(t, GcnLayer(weight=w), t.leaf(h), t.leaf(a_hat))
             np.testing.assert_allclose(out.values, oracle_gcn(h, w, a_hat), atol=1e-12)
 
 
@@ -158,9 +160,7 @@ def assert_fused_matches_chain(adj, f_in, f_out, heads, concat, rng):
     the input gradient and the w/a gradients under a random probe, at 1e-12."""
     n = adj.shape[0]
     h = rng.standard_normal((n, f_in))
-    layer = GatLayer.create(
-        f_in, f_out, heads, rng, concat=concat, activation="elu" if concat else "identity"
-    )
+    layer = GatLayer.create(f_in, f_out, heads, rng, concat=concat)
     probe = rng.standard_normal((n, f_out * heads if concat else f_out))
     results = []
     for forward in (gat_forward, oracle_gat_chain):
@@ -238,12 +238,7 @@ class TestGatForward:
     def test_single_head_identity_on_edgeless(self):
         n, f = 4, 3
         h = rng_for(6).standard_normal((n, f))
-        layer = GatLayer(
-            weight=np.eye(f),
-            att=np.zeros((2 * f, 1)),
-            concat=True,
-            activation="identity",
-        )
+        layer = GatLayer(weight=np.eye(f), att=np.zeros((2 * f, 1)))
         t = Tape()
         out = gat_forward(t, layer, t.leaf(h), np.zeros((n, n)))
         np.testing.assert_allclose(out.values, h, atol=1e-15)
@@ -255,8 +250,8 @@ class TestGatForward:
         a = rng.standard_normal((2 * fp, 1))
         adj = random_adjacency(n, rng)
         h = rng.standard_normal((n, f))
-        single = GatLayer(weight=w, att=a, concat=True, activation="identity")
-        double = GatLayer(weight=np.hstack([w, w]), att=np.hstack([a, a]), concat=True, activation="identity")
+        single = GatLayer(weight=w, att=a)
+        double = GatLayer(weight=np.hstack([w, w]), att=np.hstack([a, a]))
         t = Tape()
         one = gat_forward(t, single, t.leaf(h), adj).values
         two = gat_forward(t, double, t.leaf(h), adj).values
@@ -268,7 +263,7 @@ class TestGatForward:
             n = 5
             adj = random_adjacency(n, rng)
             h = rng.standard_normal((n, 3))
-            layer = GatLayer.create(3, 2, heads=2, rng=rng, concat=True, activation="identity")
+            layer = GatLayer.create(3, 2, heads=2, rng=rng)
             t = Tape()
             out = gat_forward(t, layer, t.leaf(h), adj)
             pieces = []
@@ -300,9 +295,10 @@ class TestGatForward:
             x = t.leaf(h)
             gat_forward(t, layer, x, adj)
             recorded.append(len(t) - 1)  # the input leaf is not the layer's
-        # two parameter leaves, the projection, the attention and the
-        # activation; the mean adds the averaging leaf and its matmul
-        assert recorded == [5 if concat else 7] * 4
+        # two parameter leaves, the projection and the attention; the mean
+        # adds the averaging leaf and its matmul. The head, not the layer,
+        # records the ELU after a hidden layer.
+        assert recorded == [4 if concat else 6] * 4
 
     def test_create_stacks_per_head_glorot_draws(self):
         # the draw order fixes every initial weight, so trained scores too
@@ -318,10 +314,35 @@ class TestGatForward:
 
     def test_averaged_output_layer_width(self):
         rng = rng_for(8)
-        layer = GatLayer.create(6, 2, heads=4, rng=rng, concat=False, activation="identity")
+        layer = GatLayer.create(6, 2, heads=4, rng=rng, concat=False)
         t = Tape()
         out = gat_forward(t, layer, t.leaf(rng.standard_normal((5, 6))), random_adjacency(5, rng))
         assert out.shape == (5, 2)
+
+
+class TestHeadOracle:
+    """prediction_forward against plain numpy at the published head sizes:
+    ELU after the first and second layers, none after the third, whose GAT
+    heads are averaged."""
+
+    @pytest.mark.parametrize("variant", ["gat", "gcn"])
+    @pytest.mark.parametrize("n", [30, 50])
+    def test_matches_numpy_composition(self, variant, n):
+        mc = ModelConfig()
+        f_in = mc.embed_dim + feature_width(DeepWalkConfig())
+        rng = rng_for(n)
+        net = build_prediction_net(variant, f_in, mc.hidden, mc.heads, dropout=0.2, rng=rng)
+        adj = ego_net(n, 0.15, rng)
+        h = rng.standard_normal((n, f_in))
+        t = Tape()
+        got = prediction_forward(t, net, t.leaf(h), adj, t.leaf(normalized_adjacency(adj)))
+        l1, l2, l3 = net.layers
+        x = oracle_elu(oracle_layer(l1, h, adj))
+        x = oracle_elu(oracle_layer(l2, x, adj))
+        want = oracle_layer(l3, x, adj)
+        assert got.shape == want.shape == (n, 2)
+        assert (want < 0).any()  # an output ELU would change these
+        np.testing.assert_allclose(got.values, want, rtol=1e-10, atol=1e-12)
 
 
 class TestEgoNll:

@@ -7,6 +7,8 @@ import importlib.util
 import pkgutil
 from pathlib import Path
 
+import numpy as np
+
 import egoinf
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -64,3 +66,46 @@ def test_no_library_module_holds_a_traced_function_at_an_unlisted_site():
         }
         unlisted = holders - set(listed) - {fn.__module__}
         assert not unlisted, f"{span}: {sorted(unlisted)} hold {path} but are not traced"
+
+
+def test_augmentation_counters_match_the_copies():
+    """The counters behind augment.candidates_per_sample,
+    added_edges_per_copy and added_ratio, read against the copies that
+    generate_augmentations returns, called where training calls it."""
+    from egoinf import training
+    from egoinf.augment import AugmentationConfig, candidate_edges, edge_probabilities
+    from egoinf.autoenc import VgaeModel
+    from egoinf.graphs import EgoSample, UndirectedGraph
+
+    from .oracles import random_adjacency
+
+    rng = np.random.default_rng(4)
+    n = 10
+    sample = EgoSample(
+        graph=UndirectedGraph(random_adjacency(n, rng, p=0.3)),
+        ego=0,
+        influence_state=np.zeros(n, dtype=np.int8),
+        label=1,
+        sample_id="traced",
+    )
+    vgae = VgaeModel.create(n, 6, 4, rng)
+    cfg = AugmentationConfig(threshold=0.5, count=3, seed=9)
+    probs = edge_probabilities(sample, vgae)
+    candidates = len(candidate_edges(probs, sample.graph.adjacency, cfg.threshold))
+    assert candidates > 0, "the case needs a non-empty candidate set"
+
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        copies = training.generate_augmentations(sample, vgae, cfg)
+    finally:
+        tracer.uninstall()
+    gained = sum(
+        int(np.triu(c.graph.adjacency != sample.graph.adjacency, 1).sum()) for c in copies
+    )
+    assert gained > 0
+    counts = {name: v for (phase, name), v in tracer.counts.items()}
+    assert counts["augment.candidates"] == candidates
+    assert counts["augment.copies"] == cfg.count == len(copies)
+    assert counts["augment.added_edges"] == gained
+    assert counts["augment.candidate_slots"] == cfg.count * candidates

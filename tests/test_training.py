@@ -123,7 +123,7 @@ class TestTrainJoint:
         cfg = tiny_config()
         model = JointModel.create(cfg, feature_width=2 + cfg.deepwalk.dim, seed=0)
         with pytest.raises(ConfigError):
-            train_joint(model, [], cfg, AblationConfig.from_arm(1))
+            train_joint(model, [], cfg, AblationConfig.from_arm(1), store=FeatureStore(0, TINY_DW))
 
     def test_divergence_names_epoch_and_sample(self):
         from egoinf.errors import DivergenceError
