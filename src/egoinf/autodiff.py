@@ -430,52 +430,3 @@ class Tape:
             return self._grads[node.idx]
         return np.zeros(node.shape)
 
-
-def grad_check(
-    f: Callable[[dict[str, np.ndarray]], tuple[float, dict[str, np.ndarray]]],
-    params: dict[str, np.ndarray],
-    step: float = 1e-5,
-    tol: float = 1e-4,
-):
-    """Compare analytic gradients of f against central finite differences.
-
-    f maps a dict of named matrices to (loss, gradient dict). Returns a
-    GradCheckReport; ``passed`` is True when the max relative error over
-    all coordinates stays within tol.
-    """
-    _, analytic = f(params)
-    work = {k: v.copy() for k, v in params.items()}
-    max_rel = 0.0
-    worst = None
-    for name, arr in work.items():
-        ga = analytic[name]
-        flat = arr.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi, _ = f(work)
-            flat[i] = orig - step
-            lo, _ = f(work)
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * step)
-            a = ga.reshape(-1)[i]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
-            if rel > max_rel:
-                max_rel = rel
-                worst = (name, i)
-    return GradCheckReport(max_rel_err=max_rel, passed=max_rel <= tol, worst=worst)
-
-
-class GradCheckReport:
-    """Outcome of one finite-difference sweep."""
-
-    __slots__ = ("max_rel_err", "passed", "worst")
-
-    def __init__(self, max_rel_err: float, passed: bool, worst):
-        self.max_rel_err = max_rel_err
-        self.passed = passed
-        self.worst = worst
-
-    def __repr__(self) -> str:
-        state = "pass" if self.passed else "FAIL"
-        return f"GradCheckReport({state}, max_rel_err={self.max_rel_err:.3e}, worst={self.worst})"

@@ -79,15 +79,6 @@ class CascadeConfig:
         check_seed(self.seed)
 
 
-def independent_cascade(
-    g: UndirectedGraph, seeds, p: float, rng: np.random.Generator
-) -> set[int]:
-    """Standard independent cascade: each newly active node gets one chance
-    to activate each inactive neighbour with probability p. Returns the
-    final active set (always includes the seeds)."""
-    return {v for v, r in enumerate(cascade_rounds(g, seeds, p, rng)) if r >= 0}
-
-
 def cascade_rounds(
     g: UndirectedGraph, seeds, p: float, rng: np.random.Generator
 ) -> np.ndarray:

@@ -28,17 +28,16 @@ from .ablation import (
     score_arm,
     train_split,
 )
-from .augment import AugmentationConfig, generate_augmentations
+from .augment import generate_augmentations
 from .autoenc import LOGVAR_CLAMP, VgaeModel
 from .cascade import CascadeConfig, generate_dataset
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, DivergenceError, NumericsError
-from .features import DeepWalkConfig, FeatureStore
+from .features import FeatureStore
 from .graphs import load_dataset, save_dataset
 from .training import (
     AblationConfig,
     JointModel,
-    ModelConfig,
     TrainConfig,
     pretrain_augmenter,
     run_config_with_seed,
@@ -94,48 +93,14 @@ def _dataset_inputs(data_path: str) -> list[Path]:
 # -- config (de)serialization ------------------------------------------------
 
 
-def train_config_to_dict(cfg: TrainConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
-def train_config_from_dict(d: dict) -> TrainConfig:
-    return TrainConfig(
-        aug=AugmentationConfig(**d["aug"]),
-        model=ModelConfig(**d["model"]),
-        deepwalk=DeepWalkConfig(**d["deepwalk"]),
-        **{k: v for k, v in d.items() if k not in ("aug", "model", "deepwalk")},
-    )
-
-
-def _train_config_from_args(args) -> TrainConfig:
-    return TrainConfig(
-        epochs=args.epochs,
-        lr=args.lr,
-        weight_decay=args.weight_decay,
-        dropout=args.dropout,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        pretrain_epochs=args.pretrain_epochs,
-        pretrain_lr=args.pretrain_lr,
-        aug=AugmentationConfig(
-            threshold=args.aug_threshold, count=args.aug_count, seed=args.aug_seed
-        ),
-        model=ModelConfig(
-            variant=args.model,
-            hidden=args.hidden,
-            heads=args.heads,
-            embed_dim=args.embed_dim,
-            gae_hidden=args.gae_hidden,
-        ),
-        deepwalk=DeepWalkConfig(
-            dim=args.dw_dim,
-            walks_per_node=args.dw_walks,
-            walk_length=args.dw_length,
-            window=args.dw_window,
-            negatives=args.dw_negatives,
-            epochs=args.dw_epochs,
-        ),
-    )
+def config_from_dict(cls, d: dict):
+    """cls from a JSON object with its fields; nested configs from nested
+    objects. The object must have the shape _shape_problem accepts."""
+    hints = typing.get_type_hints(cls)
+    return cls(**{
+        k: config_from_dict(hints[k], v) if dataclasses.is_dataclass(hints[k]) else v
+        for k, v in d.items()
+    })
 
 
 # -- model checkpoints -------------------------------------------------------
@@ -146,7 +111,7 @@ def save_joint_model(path: Path, model: JointModel, cfg: TrainConfig, arm: int) 
         "kind": "joint",
         "arm": arm,
         "feature_width": model.gae.in_width,
-        "train": train_config_to_dict(cfg),
+        "train": dataclasses.asdict(cfg),
     }
     save_checkpoint(path, model.parameters(include_gae=True), meta)
 
@@ -155,8 +120,11 @@ def load_joint_model(path: Path) -> tuple[JointModel, TrainConfig, int]:
     matrices, meta = load_checkpoint(path)
     if meta.get("kind") != "joint":
         raise DataError(f"{path}: not a joint model checkpoint")
+    problem = _shape_problem(meta.get("train"), TrainConfig, "train")
+    if problem:
+        raise DataError(f"{path}: checkpoint {problem}")
     try:
-        cfg = train_config_from_dict(meta["train"])
+        cfg = config_from_dict(TrainConfig, meta["train"])
         model = JointModel.create(cfg, feature_width=meta["feature_width"], seed=cfg.seed)
         arm = AblationConfig.from_arm(meta["arm"]).arm_id
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
@@ -210,7 +178,7 @@ def load_vgae(path: Path) -> VgaeModel:
 
 
 def do_synth(config: dict, out: Path) -> None:
-    cfg = CascadeConfig(**config["cascade"])
+    cfg = config_from_dict(CascadeConfig, config["cascade"])
     dataset = generate_dataset(cfg)
     out.mkdir(parents=True, exist_ok=True)
     data_path = out / "dataset.jsonl"
@@ -226,14 +194,14 @@ def do_synth(config: dict, out: Path) -> None:
 
 
 def do_train(config: dict, out: Path) -> None:
-    cfg = train_config_from_dict(config["train"])
+    cfg = config_from_dict(TrainConfig, config["train"])
     arm = int(config["arm"])
     abl = AblationConfig.from_arm(arm)
     dataset = load_dataset(config["data"])
-    out.mkdir(parents=True, exist_ok=True)
 
     store = FeatureStore(cfg.seed, cfg.deepwalk)
     model, vgae, trace = fit_arm(dataset, cfg, abl, cfg.seed, store)
+    out.mkdir(parents=True, exist_ok=True)
     if vgae is not None:
         save_vgae(out / "vgae.ckpt", vgae, cfg)
     save_joint_model(out / "model.ckpt", model, cfg, arm)
@@ -279,7 +247,7 @@ def do_eval(config: dict, out: Path) -> None:
 
 
 def do_ablate(config: dict, out: Path) -> None:
-    cfg = train_config_from_dict(config["train"])
+    cfg = config_from_dict(TrainConfig, config["train"])
     dataset = load_dataset(config["data"])
     arms = [AblationConfig.from_arm(a) for a in config["arms"]]
     report = run_ablation(dataset, cfg, arms, list(config["seeds"]))
@@ -322,7 +290,7 @@ def _sweep_count(value) -> int:
 
 
 def do_sweep(config: dict, out: Path) -> None:
-    cfg = train_config_from_dict(config["train"])
+    cfg = config_from_dict(TrainConfig, config["train"])
     check_run_seeds(config["seeds"])
     dataset = load_dataset(config["data"])
     arm = int(config["arm"])
@@ -464,29 +432,76 @@ def _comma_list(cast):
     return parse
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=("gat", "gcn"), default="gat")
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--weight-decay", type=float, default=5e-4)
-    p.add_argument("--dropout", type=float, default=0.2)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--heads", type=int, default=8)
-    p.add_argument("--hidden", type=int, default=128)
-    p.add_argument("--embed-dim", type=int, default=64)
-    p.add_argument("--gae-hidden", type=int, default=64)
-    p.add_argument("--pretrain-epochs", type=int, default=150)
-    p.add_argument("--pretrain-lr", type=float, default=0.05)
-    p.add_argument("--aug-threshold", type=float, default=0.8)
-    p.add_argument("--aug-count", type=int, default=3)
-    p.add_argument("--aug-seed", type=int, default=0)
-    p.add_argument("--dw-dim", type=int, default=64)
-    p.add_argument("--dw-walks", type=int, default=10)
-    p.add_argument("--dw-length", type=int, default=40)
-    p.add_argument("--dw-window", type=int, default=5)
-    p.add_argument("--dw-negatives", type=int, default=5)
-    p.add_argument("--dw-epochs", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+# One table per command family: (flag, field path) rows. A flag's type and
+# default come from the dataclass field that its path names; every other
+# field keeps its default and is recorded in the manifest.
+_TRAIN_FLAGS = (
+    ("--model", "model.variant"),
+    ("--epochs", "epochs"),
+    ("--lr", "lr"),
+    ("--weight-decay", "weight_decay"),
+    ("--dropout", "dropout"),
+    ("--batch-size", "batch_size"),
+    ("--heads", "model.heads"),
+    ("--hidden", "model.hidden"),
+    ("--embed-dim", "model.embed_dim"),
+    ("--gae-hidden", "model.gae_hidden"),
+    ("--pretrain-epochs", "pretrain_epochs"),
+    ("--pretrain-lr", "pretrain_lr"),
+    ("--aug-threshold", "aug.threshold"),
+    ("--aug-count", "aug.count"),
+    ("--aug-seed", "aug.seed"),
+    ("--dw-dim", "deepwalk.dim"),
+    ("--dw-walks", "deepwalk.walks_per_node"),
+    ("--dw-length", "deepwalk.walk_length"),
+    ("--dw-window", "deepwalk.window"),
+    ("--dw-negatives", "deepwalk.negatives"),
+    ("--dw-epochs", "deepwalk.epochs"),
+    ("--seed", "seed"),
+)
+_SYNTH_FLAGS = (
+    ("--graph-model", "graph_model"),
+    ("--nodes", "graph_nodes"),
+    ("--ws-k", "ws_k"),
+    ("--ws-beta", "ws_beta"),
+    ("--ba-m", "ba_m"),
+    ("--seed-set-size", "seed_set_size"),
+    ("--prob", "activation_p"),
+    ("--samples", "samples"),
+    ("--subgraph-size", "n_target"),
+    ("--restart-p", "restart_p"),
+    ("--seed", "seed"),
+)
+
+
+def _field(cls, path: str):
+    """Type and default of the field at a dotted path; int | None reads as int."""
+    value = cls()
+    for name in path.split("."):
+        kind = typing.get_type_hints(type(value))[name]
+        value = getattr(value, name)
+    if isinstance(kind, types.UnionType):
+        (kind,) = [t for t in typing.get_args(kind) if t is not type(None)]
+    return kind, value
+
+
+def _add_flags(p: argparse.ArgumentParser, cls, table) -> None:
+    for flag, path in table:
+        kind, default = _field(cls, path)
+        p.add_argument(flag, type=kind, default=default)
+
+
+def _config_from_flags(args, cls, table) -> dict:
+    """The config that the manifest records: cls's defaults with each
+    table flag's value at its field path, checked by building cls."""
+    config = dataclasses.asdict(cls())
+    for flag, path in table:
+        *outer, name = path.split(".")
+        node = config
+        for key in outer:
+            node = node[key]
+        node[name] = getattr(args, flag[2:].replace("-", "_"))
+    return dataclasses.asdict(config_from_dict(cls, config))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,24 +513,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic cascade dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--graph-model", choices=("watts_strogatz", "barabasi_albert"),
-                   default="watts_strogatz")
-    p.add_argument("--nodes", type=int, default=300)
-    p.add_argument("--ws-k", type=int, default=10)
-    p.add_argument("--ws-beta", type=float, default=0.1)
-    p.add_argument("--ba-m", type=int, default=2)
-    p.add_argument("--seed-set-size", type=int, default=30)
-    p.add_argument("--prob", type=float, default=0.15)
-    p.add_argument("--samples", type=int, default=500)
-    p.add_argument("--subgraph-size", type=int, default=30)
-    p.add_argument("--restart-p", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
+    _add_flags(p, CascadeConfig, _SYNTH_FLAGS)
 
     p = sub.add_parser("train", help="pretrain the augmenter and fit the joint model")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--arm", type=int, choices=range(1, 9), default=8)
-    _add_train_flags(p)
+    _add_flags(p, TrainConfig, _TRAIN_FLAGS)
 
     p = sub.add_parser("eval", help="score a trained model on a split")
     p.add_argument("--data", required=True)
@@ -530,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--arms", type=_comma_list(int), default=list(range(1, 9)))
     p.add_argument("--runs", type=int, default=5)
-    _add_train_flags(p)
+    _add_flags(p, TrainConfig, _TRAIN_FLAGS)
 
     p = sub.add_parser("sweep", help="vary augmentation count or threshold")
     p.add_argument("--data", required=True)
@@ -540,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=_comma_list(float), default=None,
                    help="comma-separated values; defaults to 1..8 or 0.6,0.7,0.8,0.9")
     p.add_argument("--runs", type=int, default=1)
-    _add_train_flags(p)
+    _add_flags(p, TrainConfig, _TRAIN_FLAGS)
 
     p = sub.add_parser("rerun", help="replay a command from its manifest")
     p.add_argument("--manifest", required=True)
@@ -553,29 +557,13 @@ def _dispatch(args) -> None:
     if getattr(args, "runs", 1) < 1:
         raise ConfigError(f"--runs must be at least 1, got {args.runs}")
     if args.command == "synth":
-        config = {
-            "cascade": dataclasses.asdict(
-                CascadeConfig(
-                    graph_model=args.graph_model,
-                    graph_nodes=args.nodes,
-                    ws_k=args.ws_k,
-                    ws_beta=args.ws_beta,
-                    ba_m=args.ba_m,
-                    seed_set_size=args.seed_set_size,
-                    activation_p=args.prob,
-                    samples=args.samples,
-                    n_target=args.subgraph_size,
-                    restart_p=args.restart_p,
-                    seed=args.seed,
-                )
-            )
-        }
+        config = {"cascade": _config_from_flags(args, CascadeConfig, _SYNTH_FLAGS)}
         do_synth(config, out)
     elif args.command == "train":
         config = {
             "data": str(Path(args.data).resolve()),
             "arm": args.arm,
-            "train": train_config_to_dict(_train_config_from_args(args)),
+            "train": _config_from_flags(args, TrainConfig, _TRAIN_FLAGS),
         }
         do_train(config, out)
     elif args.command == "eval":
@@ -592,7 +580,7 @@ def _dispatch(args) -> None:
             "data": str(Path(args.data).resolve()),
             "arms": args.arms,
             "seeds": [args.seed + i for i in range(args.runs)],
-            "train": train_config_to_dict(_train_config_from_args(args)),
+            "train": _config_from_flags(args, TrainConfig, _TRAIN_FLAGS),
         }
         do_ablate(config, out)
     elif args.command == "sweep":
@@ -607,7 +595,7 @@ def _dispatch(args) -> None:
             "mode": args.sweep,
             "grid": grid,
             "seeds": [args.seed + i for i in range(args.runs)],
-            "train": train_config_to_dict(_train_config_from_args(args)),
+            "train": _config_from_flags(args, TrainConfig, _TRAIN_FLAGS),
         }
         do_sweep(config, out)
     elif args.command == "rerun":

@@ -64,17 +64,6 @@ def _walk_matrix(
     return walks
 
 
-def random_walks(
-    g: UndirectedGraph,
-    walks_per_node: int,
-    walk_length: int,
-    rng: np.random.Generator,
-) -> list[list[int]]:
-    """Uniform random walks, ``walks_per_node`` from every node, each
-    stopping early at a sink."""
-    return [w[w >= 0].tolist() for w in _walk_matrix(g, walks_per_node, walk_length, rng)]
-
-
 def _pair_positions(length: int, window: int) -> tuple[np.ndarray, np.ndarray]:
     """(center, context) positions in a walk of ``length`` steps, ordered by
     center, then by context."""
@@ -83,13 +72,6 @@ def _pair_positions(length: int, window: int) -> tuple[np.ndarray, np.ndarray]:
     context = center + np.tile(offsets, length)
     keep = (context >= 0) & (context < length)
     return center[keep], context[keep]
-
-
-def skipgram_pairs(walk: list[int], window: int) -> list[tuple[int, int]]:
-    """(center, context) pairs within the window, both directions."""
-    tokens = np.asarray(walk)
-    center, context = _pair_positions(tokens.size, window)
-    return list(zip(tokens[center].tolist(), tokens[context].tolist()))
 
 
 # Slices of [0, 1) in the negative-sampling table; a power of two, so that

@@ -9,7 +9,6 @@ byte identical.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -72,17 +71,6 @@ class UndirectedGraph:
             adj[j, i] = 1
         return cls(adj, tuple(node_ids) if node_ids is not None else None)
 
-    @classmethod
-    def symmetrized(cls, adjacency, node_ids=None) -> "UndirectedGraph":
-        """Ingest a possibly directed 0/1 adjacency by symmetrizing it.
-        Lossy for directed inputs; the diagonal is dropped."""
-        a = np.asarray(adjacency)
-        if not np.array_equal(a, a.T):
-            warnings.warn("symmetrizing a directed adjacency; edge direction is lost")
-        sym = ((a + a.T) > 0).astype(np.int8)
-        np.fill_diagonal(sym, 0)
-        return cls(sym, tuple(node_ids) if node_ids is not None else None)
-
 
 @dataclass(frozen=True)
 class EgoSample:
@@ -113,11 +101,6 @@ class Dataset:
         if not self.splits.get(name):
             raise DataError(f"dataset has no '{name}' split")
         return [self.samples[i] for i in self.splits[name]]
-
-
-def degree_vector(g: UndirectedGraph) -> np.ndarray:
-    """Row sums of the adjacency, as integers."""
-    return g.adjacency.sum(axis=1).astype(np.int64)
 
 
 def validate_sample(s: EgoSample) -> list[str]:

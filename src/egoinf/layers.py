@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, attention_weights
+from .autodiff import Tape, Tensor
 from .errors import ConfigError, DimensionError
 
 LEAKY_SLOPE = 0.2  # negative slope inside attention scores
@@ -103,25 +103,11 @@ def _attention_mask(adj: np.ndarray) -> np.ndarray:
     return np.asarray(adj, dtype=np.float64) + np.eye(adj.shape[0])
 
 
-def _check_width(where: str, layer: GatLayer, h: Tensor) -> None:
-    if h.cols != layer.weight.shape[0]:
-        raise DimensionError(f"{where}: features {h.shape} vs weight {layer.weight.shape}")
-
-
-def gat_attention(
-    tape: Tape, layer: GatLayer, h: Tensor, adj: np.ndarray
-) -> list[Tensor]:
-    """Per-head attention matrices as constant leaves; rows sum to 1 over
-    neighbours plus self."""
-    _check_width("gat_attention", layer, h)
-    alpha, _ = attention_weights(
-        h.values @ layer.weight, layer.att, _attention_mask(adj), layer.heads, LEAKY_SLOPE
-    )
-    return [tape.leaf(a) for a in alpha]
-
-
 def gat_forward(tape: Tape, layer: GatLayer, h: Tensor, adj: np.ndarray) -> Tensor:
-    _check_width("gat_forward", layer, h)
+    if h.cols != layer.weight.shape[0]:
+        raise DimensionError(
+            f"gat_forward: features {h.shape} vs weight {layer.weight.shape}"
+        )
     hw = tape.matmul(h, tape.leaf(layer.weight))
     out = tape.gat_heads(
         hw, tape.leaf(layer.att), _attention_mask(adj), layer.heads, LEAKY_SLOPE
@@ -166,23 +152,20 @@ def build_prediction_net(
     dropout: float,
     rng,
 ) -> PredictionNet:
+    """The three-layer head; ModelConfig checks the variant and sizes."""
     if variant == "gat":
-        if hidden % heads != 0:
-            raise ConfigError(f"hidden={hidden} not divisible by heads={heads}")
         per_head = hidden // heads
         layers = [
             GatLayer.create(f_in, per_head, heads, rng),
             GatLayer.create(hidden, per_head, heads, rng),
             GatLayer.create(hidden, 2, heads, rng, concat=False),
         ]
-    elif variant == "gcn":
+    else:  # gcn
         layers = [
             GcnLayer.create(f_in, hidden, rng),
             GcnLayer.create(hidden, hidden, rng),
             GcnLayer.create(hidden, 2, rng),
         ]
-    else:
-        raise ConfigError(f"unknown model variant '{variant}'")
     return PredictionNet(layers=layers, dropout=dropout)
 
 

@@ -80,6 +80,15 @@ class ModelConfig:
     embed_dim: int = 64
     gae_hidden: int = 64
 
+    def __post_init__(self):
+        if self.variant not in ("gat", "gcn"):
+            raise ConfigError(f"unknown model variant '{self.variant}'")
+        for name in ("hidden", "heads", "embed_dim", "gae_hidden"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.variant == "gat" and self.hidden % self.heads != 0:
+            raise ConfigError(f"hidden={self.hidden} not divisible by heads={self.heads}")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -101,6 +110,10 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.lr < 0:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        if not (0.0 <= self.dropout < 1.0):
+            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         check_seed(self.seed)
 
 

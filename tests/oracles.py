@@ -1,6 +1,8 @@
 """Brute-force reference implementations shared by the unit and acceptance
 tests. These stay deliberately loop-based and independent of the library
-code paths they check."""
+code paths they check. Beside them: the finite-difference grad_check, and
+gat_attention and random_walks, which expose library intermediates (the
+attention matrices, the walks) in the form the tests compare."""
 import math
 
 import numpy as np
@@ -60,6 +62,19 @@ def gat_head(layer, k):
     column block k of a GatLayer's stacked matrices."""
     fp = layer.f_out
     return layer.weight[:, k * fp : (k + 1) * fp], layer.att[:, k : k + 1]
+
+
+def gat_attention(tape, layer, h, adj):
+    """The fused kernel's per-head attention matrices for a GatLayer, as
+    constant leaves on tape; rows sum to 1 over neighbours plus self."""
+    from egoinf.autodiff import attention_weights
+    from egoinf.layers import LEAKY_SLOPE
+
+    mask = np.asarray(adj, dtype=np.float64) + np.eye(adj.shape[0])
+    alpha, _ = attention_weights(
+        h.values @ layer.weight, layer.att, mask, layer.heads, LEAKY_SLOPE
+    )
+    return [tape.leaf(a) for a in alpha]
 
 
 def row_softmax_masked(tape, a, mask):
@@ -176,6 +191,14 @@ def toy_two_cluster_graph():
     return a
 
 
+def random_walks(g, walks_per_node, walk_length, rng):
+    """The library's walks as lists of node ids, ``walks_per_node`` from
+    every node, each stopping early at a sink."""
+    from egoinf.deepwalk import _walk_matrix
+
+    return [w[w >= 0].tolist() for w in _walk_matrix(g, walks_per_node, walk_length, rng)]
+
+
 def oracle_skipgram_pairs(walk, window):
     """(center, context) pairs from a nested loop over center and context
     positions."""
@@ -197,10 +220,9 @@ def oracle_deepwalk_embed(
     into a (2, n, n) count array per step, ``rng.choice`` for the negatives,
     and the sigmoid and the updates as written expressions. The same stream
     in the same order: init, walks, then per epoch the negatives and the
-    permutation. Walks come from the library's random_walks, which the walk
-    tests pin; pairs from oracle_skipgram_pairs."""
-    from egoinf.deepwalk import random_walks
-
+    permutation. Walks come from the library's walk matrix through
+    random_walks, which the walk tests pin; pairs from
+    oracle_skipgram_pairs."""
     n = g.n
     w_in = (rng.random((n, dim)) - 0.5) / dim
     w_out = np.zeros((n, dim))
@@ -362,3 +384,48 @@ def oracle_candidate_egos(adj, active):
     two_hop = adj @ one_hop.astype(np.int64) > 0
     near = one_hop | two_hop | (active > 0)
     return np.flatnonzero(near & (active == 0))
+
+
+def grad_check(f, params, step=1e-5, tol=1e-4):
+    """Compare analytic gradients of f against central finite differences.
+
+    f maps a dict of named matrices to (loss, gradient dict). Returns a
+    GradCheckReport; ``passed`` is True when the max relative error over
+    all coordinates stays within tol.
+    """
+    _, analytic = f(params)
+    work = {k: v.copy() for k, v in params.items()}
+    max_rel = 0.0
+    worst = None
+    for name, arr in work.items():
+        ga = analytic[name]
+        flat = arr.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi, _ = f(work)
+            flat[i] = orig - step
+            lo, _ = f(work)
+            flat[i] = orig
+            numeric = (hi - lo) / (2.0 * step)
+            a = ga.reshape(-1)[i]
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
+            if rel > max_rel:
+                max_rel = rel
+                worst = (name, i)
+    return GradCheckReport(max_rel_err=max_rel, passed=max_rel <= tol, worst=worst)
+
+
+class GradCheckReport:
+    """Outcome of one finite-difference sweep."""
+
+    __slots__ = ("max_rel_err", "passed", "worst")
+
+    def __init__(self, max_rel_err, passed, worst):
+        self.max_rel_err = max_rel_err
+        self.passed = passed
+        self.worst = worst
+
+    def __repr__(self):
+        state = "pass" if self.passed else "FAIL"
+        return f"GradCheckReport({state}, max_rel_err={self.max_rel_err:.3e}, worst={self.worst})"

@@ -18,7 +18,7 @@ from egoinf.augment import (
     edge_probabilities,
     generate_augmentations,
 )
-from egoinf.autodiff import Tape, grad_check
+from egoinf.autodiff import Tape
 from egoinf.autoenc import (
     AutoencTrainConfig,
     GaeModel,
@@ -38,7 +38,6 @@ from egoinf.layers import (
     GcnLayer,
     build_prediction_net,
     ego_nll,
-    gat_attention,
     gat_forward,
     gcn_forward,
     normalized_adjacency,
@@ -56,7 +55,9 @@ from egoinf.training import (
 )
 
 from .oracles import (
+    gat_attention,
     gat_head,
+    grad_check,
     oracle_auc,
     oracle_gat_attention,
     oracle_gcn,

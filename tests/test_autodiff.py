@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from egoinf.autodiff import Tape, grad_check
+from egoinf.autodiff import Tape
 from egoinf.errors import ConfigError, DimensionError, NumericsError
 
-from .oracles import leaky_relu, row_softmax_masked
+from .oracles import grad_check, leaky_relu, row_softmax_masked
 
 
 def toy(shape, seed=0):

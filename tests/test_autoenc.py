@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from egoinf.autodiff import Tape, grad_check
+from egoinf.autodiff import Tape
 from egoinf.autoenc import (
     AutoencTrainConfig,
     GaeModel,
@@ -17,6 +17,8 @@ from egoinf.autoenc import (
 )
 from egoinf.errors import ConfigError
 from egoinf.layers import normalized_adjacency
+
+from .oracles import grad_check
 
 
 def rng_for(seed):

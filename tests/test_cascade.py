@@ -7,12 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from egoinf import cascade
-from egoinf.cascade import (
-    CascadeConfig,
-    cascade_rounds,
-    generate_dataset,
-    independent_cascade,
-)
+from egoinf.cascade import CascadeConfig, cascade_rounds, generate_dataset
 from egoinf.errors import ConfigError, DataError
 from egoinf.graphs import UndirectedGraph, save_dataset, validate_sample
 from egoinf.rng import stream
@@ -22,6 +17,11 @@ from .oracles import oracle_candidate_egos, oracle_cascade_rounds, oracle_rwr_sa
 
 def path_graph(n):
     return UndirectedGraph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def independent_cascade(g, seeds, p, rng):
+    """The final active set of a cascade (seeds included)."""
+    return {v for v, r in enumerate(cascade_rounds(g, seeds, p, rng)) if r >= 0}
 
 
 class TestIndependentCascade:

@@ -604,32 +604,70 @@ def no_work(monkeypatch):
     monkeypatch.setattr(cli, "load_dataset", fail)
 
 
-@pytest.mark.parametrize("argv", [
-    ["synth", *SYNTH_FLAGS, "--seed", "-1"],
-    ["train", "--seed", "-1"],
-    ["train", "--aug-seed", "-2"],
-    ["ablate", "--arms", "1", "--seed", "-1"],
-    ["sweep", "--sweep", "count", "--grid", "1", "--runs", "2", "--seed", "-3"],
-], ids=["synth", "train", "train-aug-seed", "ablate", "sweep"])
-def test_negative_seed_flag_exits_2_before_any_work(synth_dir, tmp_path, capsys, no_work, argv):
+SEED_REJECTED = "must be a non-negative integer"
+
+
+# a negative seed, and each setting that a config dataclass rejects when it
+# is built: the trainer or the head would otherwise fail on it late, or, for
+# a negative batch size, take no step at all
+@pytest.mark.parametrize("argv,message", [
+    (["synth", *SYNTH_FLAGS, "--seed", "-1"], "seed " + SEED_REJECTED),
+    (["train", "--seed", "-1"], "seed " + SEED_REJECTED),
+    (["train", "--aug-seed", "-2"], "seed " + SEED_REJECTED),
+    (["ablate", "--arms", "1", "--seed", "-1"], "seed " + SEED_REJECTED),
+    (["sweep", "--sweep", "count", "--grid", "1", "--runs", "2", "--seed", "-3"],
+     "seed " + SEED_REJECTED),
+    (["train", "--batch-size", "0"], "batch_size must be >= 1, got 0"),
+    (["train", "--batch-size", "-4"], "batch_size must be >= 1, got -4"),
+    (["train", "--heads", "0"], "heads must be >= 1, got 0"),
+    (["train", "--hidden", "0"], "hidden must be >= 1, got 0"),
+    (["train", "--heads", "3"], "hidden=8 not divisible by heads=3"),
+    (["train", "--dropout", "1.0"], "dropout must be in [0, 1), got 1.0"),
+    (["train", "--dropout", "-0.1"], "dropout must be in [0, 1), got -0.1"),
+    (["train", "--model", "gin"], "unknown model variant 'gin'"),
+    (["ablate", "--arms", "1", "--embed-dim", "0"], "embed_dim must be >= 1, got 0"),
+    (["sweep", "--sweep", "count", "--grid", "1", "--gae-hidden", "0"],
+     "gae_hidden must be >= 1, got 0"),
+], ids=["synth", "train", "train-aug-seed", "ablate", "sweep", "batch-size-0",
+        "batch-size-negative", "heads-0", "hidden-0", "heads-not-dividing-hidden", "dropout-1",
+        "dropout-negative", "variant", "embed-dim-0", "gae-hidden-0"])
+def test_negative_seed_flag_exits_2_before_any_work(
+    synth_dir, tmp_path, capsys, no_work, no_features, argv, message
+):
     command, *flags = argv
     data = [] if command == "synth" else [
         "--data", str(synth_dir / "dataset.jsonl"), *FAST_TRAIN_FLAGS
     ]
     assert main([command, "--out", str(tmp_path / "o"), *data, *flags]) == 2
-    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command,path,value", [
-    ("synth", "cascade.seed", -1),
-    ("train", "train.seed", -1),
-    ("train", "train.aug.seed", -5),
-    ("ablate", "seeds", [-1]),
-    ("sweep", "seeds", [0, -1]),
+@pytest.mark.parametrize("command,path,value,message", [
+    pytest.param("synth", "cascade.seed", -1, SEED_REJECTED, id="synth-cascade.seed--1"),
+    pytest.param("train", "train.seed", -1, SEED_REJECTED, id="train-train.seed--1"),
+    pytest.param("train", "train.aug.seed", -5, SEED_REJECTED, id="train-train.aug.seed--5"),
+    pytest.param("ablate", "seeds", [-1], SEED_REJECTED, id="ablate-seeds-value3"),
+    pytest.param("sweep", "seeds", [0, -1], SEED_REJECTED, id="sweep-seeds-value4"),
+    pytest.param("train", "train.batch_size", 0, "batch_size must be >= 1, got 0",
+                 id="batch-size-0"),
+    pytest.param("train", "train.batch_size", -4, "batch_size must be >= 1, got -4",
+                 id="batch-size-negative"),
+    pytest.param("train", "train.model.heads", 0, "heads must be >= 1, got 0", id="heads-0"),
+    pytest.param("train", "train.model.hidden", 0, "hidden must be >= 1, got 0", id="hidden-0"),
+    pytest.param("train", "train.model.heads", 3, "hidden=128 not divisible by heads=3",
+                 id="heads-not-dividing-hidden"),
+    pytest.param("train", "train.dropout", 1.0, "dropout must be in [0, 1), got 1.0",
+                 id="dropout-1"),
+    pytest.param("train", "train.model.variant", "gin", "unknown model variant 'gin'",
+                 id="variant"),
+    pytest.param("ablate", "train.model.embed_dim", 0, "embed_dim must be >= 1, got 0",
+                 id="embed-dim-0"),
+    pytest.param("sweep", "train.model.gae_hidden", 0, "gae_hidden must be >= 1, got 0",
+                 id="gae-hidden-0"),
 ])
 def test_negative_seed_in_manifest_exits_3(
-    synth_dir, tmp_path, capsys, no_pretraining, command, path, value
+    synth_dir, tmp_path, capsys, no_pretraining, no_features, command, path, value, message
 ):
     config = _valid_configs(str(synth_dir / "dataset.jsonl"))[command]
     _damage(config, path, value)
@@ -637,7 +675,7 @@ def test_negative_seed_in_manifest_exits_3(
     manifest.write_text(json.dumps({"command": command, "config": config, "outputs": {}}))
     assert main(["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert "data error" in err and "must be a non-negative integer" in err
+    assert "data error" in err and message in err
     assert not (tmp_path / "o").exists()
 
 
@@ -727,6 +765,7 @@ def test_edgeless_training_graph_exits_3_before_any_work(
                  *flags, *FAST_TRAIN_FLAGS])
     assert code == 3
     assert f"training sample {record['id']!r} has no edges" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_non_integer_count_in_sweep_manifest_exits_3(synth_dir, tmp_path, capsys, no_pretraining):
@@ -750,3 +789,34 @@ def test_arm_zero_in_eval_manifest_exits_3(synth_dir, trained_dir, tmp_path, cap
     err = capsys.readouterr().err
     assert "data error" in err and "arm must be 1..8, got 0" in err
     assert not (tmp_path / "o").exists()
+
+
+# TrainConfig fields that no flag sets; the manifest records their defaults
+MANIFEST_ONLY = {"train": ("adagrad_eps", "deepwalk.lr"), "synth": ()}
+
+
+def _field_paths(cls, prefix=""):
+    import dataclasses
+    import typing
+
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from _field_paths(hints[f.name], f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+@pytest.mark.parametrize("family", ["train", "synth"])
+def test_flag_tables_cover_the_configs(family):
+    from egoinf import cli
+    from egoinf.cascade import CascadeConfig
+    from egoinf.training import TrainConfig
+
+    cls, table = {
+        "train": (TrainConfig, cli._TRAIN_FLAGS),
+        "synth": (CascadeConfig, cli._SYNTH_FLAGS),
+    }[family]
+    paths = [path for _, path in table]
+    assert len(set(paths)) == len(paths)
+    assert sorted(paths + list(MANIFEST_ONLY[family])) == sorted(_field_paths(cls))

@@ -7,9 +7,8 @@ from egoinf.deepwalk import (
     _BUCKETS,
     _draw_negatives,
     _negative_table,
+    _pair_positions,
     deepwalk_embed,
-    random_walks,
-    skipgram_pairs,
 )
 from egoinf.errors import ConfigError
 from egoinf.features import DeepWalkConfig, FeatureStore, influence_features
@@ -22,7 +21,15 @@ from .oracles import (
     oracle_skipgram_pairs,
     oracle_skipgram_sgd,
     random_adjacency,
+    random_walks,
 )
+
+
+def skipgram_pairs(walk, window):
+    """(center, context) pairs of one walk in the library's pair order."""
+    tokens = np.asarray(walk)
+    center, context = _pair_positions(tokens.size, window)
+    return list(zip(tokens[center].tolist(), tokens[context].tolist()))
 
 
 def graph_from_edges(n, edges):

