@@ -127,9 +127,9 @@ def reconstruction_ce(
 
 @dataclass
 class AutoencTrainConfig:
-    epochs: int = 200
-    lr: float = 0.05
-    seed: int = 0
+    epochs: int
+    lr: float
+    seed: int
 
 
 def _prepare_graphs(data) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:

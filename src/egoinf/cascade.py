@@ -164,11 +164,7 @@ def generate_dataset(cfg: CascadeConfig) -> Dataset:
             ego = int(candidates[rng.integers(candidates.size)])
             label = int(rounds[ego] == 1)
             sub = rwr_sample(
-                base,
-                ego,
-                cfg.n_target,
-                restart_p=cfg.restart_p,
-                rng=stream(cfg.seed, "rwr", idx, attempt),
+                base, ego, cfg.n_target, cfg.restart_p, stream(cfg.seed, "rwr", idx, attempt)
             )
             if sub.truncated:
                 continue

@@ -28,7 +28,6 @@ from .ablation import (
     score_arm,
     train_split,
 )
-from .augment import generate_augmentations
 from .autoenc import LOGVAR_CLAMP, VgaeModel
 from .cascade import CascadeConfig, generate_dataset
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -39,6 +38,7 @@ from .training import (
     AblationConfig,
     JointModel,
     TrainConfig,
+    augmented_copies,
     pretrain_augmenter,
     run_config_with_seed,
 )
@@ -274,9 +274,8 @@ def _augmentation_edge_stats(samples, vgae, aug_cfg, store) -> float:
     orig = 0
     added = 0
     for s in samples:
-        fb = store.bundle(s)
         base_edges = s.graph.num_edges
-        for a in generate_augmentations(s, vgae, aug_cfg, features=fb.encoder_input):
+        for a in augmented_copies(s, vgae, aug_cfg, store):
             orig += base_edges
             added += a.graph.num_edges - base_edges
     return 100.0 * added / orig if orig else 0.0

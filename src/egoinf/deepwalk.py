@@ -32,10 +32,31 @@ no cdf entry; ``searchsorted`` answers the rest.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import ConfigError
 from .graphs import UndirectedGraph
+
+
+@dataclass(frozen=True)
+class DeepWalkConfig:
+    dim: int = 64
+    walks_per_node: int = 10
+    walk_length: int = 40
+    window: int = 5
+    negatives: int = 5
+    epochs: int = 5
+    lr: float = 0.05
+
+    def __post_init__(self):
+        if self.dim < 1:
+            raise ConfigError(f"deepwalk dim must be >= 1, got {self.dim}")
+        # zero is valid for each; most zeros leave the initial embeddings untrained
+        for name in ("walks_per_node", "walk_length", "window", "negatives", "epochs", "lr"):
+            if not getattr(self, name) >= 0:  # written so that NaN fails too
+                raise ConfigError(f"deepwalk {name} must be >= 0, got {getattr(self, name)}")
 
 
 def _walk_matrix(
@@ -105,32 +126,17 @@ def _draw_negatives(u: np.ndarray, cdf: np.ndarray, table: np.ndarray) -> np.nda
 
 
 def deepwalk_embed(
-    g: UndirectedGraph,
-    dim: int = 64,
-    walks_per_node: int = 10,
-    walk_length: int = 40,
-    window: int = 5,
-    negatives: int = 5,
-    rng: np.random.Generator | None = None,
-    epochs: int = 5,
-    lr: float = 0.05,
+    g: UndirectedGraph, cfg: DeepWalkConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """Train skip-gram with negative sampling over random walks and return
-    the n x dim input embedding matrix."""
-    if dim < 1:
-        raise ConfigError(f"embedding dim must be >= 1, got {dim}")
-    if walks_per_node < 0 or negatives < 0:
-        raise ConfigError(
-            f"walks per node and negatives must be >= 0, got {walks_per_node} and {negatives}"
-        )
-    if rng is None:
-        raise ConfigError("deepwalk_embed requires an explicit rng stream")
+    the n x cfg.dim input embedding matrix."""
+    dim, negatives, lr = cfg.dim, cfg.negatives, cfg.lr
     n = g.n
     w_in = (rng.random((n, dim)) - 0.5) / dim
     w_out = np.zeros((n, dim))
 
-    walks = _walk_matrix(g, walks_per_node, walk_length, rng)
-    center_pos, context_pos = _pair_positions(walks.shape[1], window)
+    walks = _walk_matrix(g, cfg.walks_per_node, cfg.walk_length, rng)
+    center_pos, context_pos = _pair_positions(walks.shape[1], cfg.window)
     centers, contexts = walks[:, center_pos], walks[:, context_pos]
     # a pair exists where both ends lie inside the walk (padding is -1)
     inside = (centers >= 0) & (contexts >= 0)
@@ -154,7 +160,7 @@ def deepwalk_embed(
     ones = np.ones(batch * max(negatives, 1))  # bincount weights: float counts
     grad = np.empty((n, n))
     grad_flat = grad.reshape(-1)
-    for _ in range(epochs):
+    for _ in range(cfg.epochs):
         # the draws of rng.choice(n, (npairs, negatives), p=noise), then the order
         neg = _draw_negatives(rng.random((npairs, negatives)), cdf, table)
         order = rng.permutation(npairs)

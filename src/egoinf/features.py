@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deepwalk import deepwalk_embed
+from .deepwalk import DeepWalkConfig, deepwalk_embed
 from .graphs import EgoSample
 from .layers import normalized_adjacency
 from .rng import stream
@@ -48,17 +48,6 @@ class FeatureBundle:
         return 2 + self.deepwalk.shape[1]
 
 
-@dataclass(frozen=True)
-class DeepWalkConfig:
-    dim: int = 64
-    walks_per_node: int = 10
-    walk_length: int = 40
-    window: int = 5
-    negatives: int = 5
-    epochs: int = 5
-    lr: float = 0.05
-
-
 def feature_width(dw: DeepWalkConfig) -> int:
     """Per-node feature width under ``dw``: FeatureBundle.width before any
     bundle exists."""
@@ -85,17 +74,7 @@ class FeatureStore:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        emb = deepwalk_embed(
-            s.graph,
-            dim=self.dw.dim,
-            walks_per_node=self.dw.walks_per_node,
-            walk_length=self.dw.walk_length,
-            window=self.dw.window,
-            negatives=self.dw.negatives,
-            rng=stream(self.seed, "deepwalk", s.sample_id),
-            epochs=self.dw.epochs,
-            lr=self.dw.lr,
-        )
+        emb = deepwalk_embed(s.graph, self.dw, stream(self.seed, "deepwalk", s.sample_id))
         adj = s.graph.adjacency.astype(np.float64)
         fb = FeatureBundle(
             influence=influence_features(s),

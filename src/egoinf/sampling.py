@@ -29,14 +29,12 @@ def rwr_sample(
     g: UndirectedGraph,
     ego: int,
     n_target: int,
-    restart_p: float = 0.8,
-    rng: np.random.Generator | None = None,
+    restart_p: float,
+    rng: np.random.Generator,
 ) -> SampledSubgraph:
     """Collect n_target distinct nodes around the ego by a restarting walk
     and return the induced subgraph. The walk gives up after 50 * n_target
     steps and returns whatever it reached, flagged as truncated."""
-    if rng is None:
-        raise ConfigError("rwr_sample requires an explicit rng stream")
     if not (0 <= ego < g.n):
         raise ConfigError(f"ego {ego} out of range for {g.n}-node graph")
     if n_target < 1:

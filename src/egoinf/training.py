@@ -25,7 +25,8 @@ from .autoenc import (
     train_gae,
 )
 from .errors import ConfigError
-from .features import DeepWalkConfig, FeatureBundle, FeatureStore, feature_width
+from .deepwalk import DeepWalkConfig
+from .features import FeatureBundle, FeatureStore, feature_width
 from .graphs import EgoSample
 from .layers import (
     PredictionNet,
@@ -106,10 +107,14 @@ class TrainConfig:
     deepwalk: DeepWalkConfig = field(default_factory=DeepWalkConfig)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
+        for name in ("epochs", "pretrain_epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lr", "weight_decay", "pretrain_lr"):
+            if not getattr(self, name) >= 0:  # written so that NaN fails too
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.adagrad_eps > 0:
+            raise ConfigError(f"adagrad_eps must be > 0, got {self.adagrad_eps}")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.batch_size is not None and self.batch_size < 1:
@@ -184,21 +189,14 @@ def sample_loss(
     return loss, float(nll.values[0, 0]), float(recon.values[0, 0])
 
 
-def _augmented_training_set(
-    samples: list[EgoSample],
-    vgae: VgaeModel | None,
-    cfg: TrainConfig,
-    store: FeatureStore,
+def augmented_copies(
+    sample: EgoSample, vgae: VgaeModel | None, aug: AugmentationConfig, store: FeatureStore
 ) -> list[EgoSample]:
-    if cfg.aug.count == 0:
-        return list(samples)
+    """The sample's augmented copies under ``aug``, decoded from its
+    encoder input in the store."""
     if vgae is None:
-        raise ConfigError("train-time augmentation requires a trained augmenter model")
-    out = list(samples)
-    for s in samples:
-        fb = store.bundle(s)
-        out.extend(generate_augmentations(s, vgae, cfg.aug, features=fb.encoder_input))
-    return out
+        raise ConfigError("augmentation requires a trained augmenter model")
+    return generate_augmentations(sample, vgae, aug, features=store.bundle(sample).encoder_input)
 
 
 def train_joint(
@@ -218,11 +216,9 @@ def train_joint(
     """
     if not samples:
         raise ConfigError("train_joint: empty training set")
-    effective = (
-        _augmented_training_set(samples, vgae, cfg, store)
-        if abl.train_aug
-        else list(samples)
-    )
+    effective = list(samples)
+    if abl.train_aug and cfg.aug.count > 0:
+        effective += [c for s in samples for c in augmented_copies(s, vgae, cfg.aug, store)]
 
     if not abl.joint:
         _pretrain(train_gae, model.gae, samples, cfg, store, cfg.seed, "gae")
@@ -287,10 +283,7 @@ def predict(
     averaged over the original plus its Q augmented variants."""
     variants = [sample]
     if abl.test_aug and cfg.aug.count > 0:
-        if vgae is None:
-            raise ConfigError("test-time augmentation requires a trained augmenter model")
-        fb = store.bundle(sample)
-        variants += generate_augmentations(sample, vgae, cfg.aug, features=fb.encoder_input)
+        variants += augmented_copies(sample, vgae, cfg.aug, store)
     probs = []
     for v in variants:
         fb = store.bundle(v)
@@ -304,7 +297,7 @@ def predict(
 def _pretrain(fit, model, samples, cfg: TrainConfig, store, seed: int, name: str):
     """Fit an autoencoder on the samples' graphs with the run's pretraining
     settings and the seed keyed '<name>-pretrain'."""
-    data = [(store.bundle(s).encoder_input, store.bundle(s).adjacency) for s in samples]
+    data = [(fb.encoder_input, fb.adjacency) for fb in map(store.bundle, samples)]
     pre = AutoencTrainConfig(
         epochs=cfg.pretrain_epochs,
         lr=cfg.pretrain_lr,

@@ -336,15 +336,13 @@ def oracle_cascade_rounds(g, seeds, p, rng):
     return rounds
 
 
-def oracle_rwr_sample(g, ego, n_target, restart_p=0.8, rng=None):
+def oracle_rwr_sample(g, ego, n_target, restart_p, rng):
     """rwr_sample with each node's neighbours rebuilt from the adjacency on
     every call: one scalar draw per step, then one integer draw when the
     walk moves."""
     from egoinf.graphs import UndirectedGraph
     from egoinf.sampling import SampledSubgraph
 
-    if rng is None:
-        raise ConfigError("rwr_sample requires an explicit rng stream")
     if not (0 <= ego < g.n):
         raise ConfigError(f"ego {ego} out of range for {g.n}-node graph")
     if n_target < 1:

@@ -252,7 +252,7 @@ class TestTraining:
     def test_gae_training_reduces_loss(self):
         adj = toy_two_cluster_graph()
         model = GaeModel.create(20, 16, 8, rng_for(3))
-        _, trace = train_gae(model, [(None, adj)], AutoencTrainConfig(epochs=150, lr=0.1))
+        _, trace = train_gae(model, [(None, adj)], AutoencTrainConfig(epochs=150, lr=0.1, seed=0))
         assert trace[-1]["ce"] < trace[0]["ce"]
 
     @pytest.mark.parametrize(
@@ -260,7 +260,7 @@ class TestTraining:
     )
     def test_empty_dataset_rejected(self, train, model_cls):
         with pytest.raises(ConfigError, match=f"^{train.__name__}: empty dataset$"):
-            train(model_cls.create(2, 2, 2, rng_for(4)), [], AutoencTrainConfig())
+            train(model_cls.create(2, 2, 2, rng_for(4)), [], AutoencTrainConfig(epochs=1, lr=0.1, seed=0))
 
     @pytest.mark.parametrize(
         "train,model_cls,name",
@@ -275,4 +275,4 @@ class TestTraining:
         model.w0[...] = 1e200  # forces an overflow on the first forward pass
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match=f"^{name} diverged at epoch 0: "):
-                train(model, [(None, adj)], AutoencTrainConfig(epochs=3, lr=0.1))
+                train(model, [(None, adj)], AutoencTrainConfig(epochs=3, lr=0.1, seed=0))

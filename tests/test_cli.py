@@ -628,9 +628,19 @@ SEED_REJECTED = "must be a non-negative integer"
     (["ablate", "--arms", "1", "--embed-dim", "0"], "embed_dim must be >= 1, got 0"),
     (["sweep", "--sweep", "count", "--grid", "1", "--gae-hidden", "0"],
      "gae_hidden must be >= 1, got 0"),
+    (["train", "--weight-decay", "-1"], "weight_decay must be >= 0, got -1.0"),
+    (["train", "--pretrain-lr", "-1"], "pretrain_lr must be >= 0, got -1.0"),
+    (["ablate", "--arms", "1", "--pretrain-epochs", "0"], "pretrain_epochs must be >= 1, got 0"),
+    (["train", "--dw-dim", "0"], "deepwalk dim must be >= 1, got 0"),
+    (["sweep", "--sweep", "count", "--grid", "1", "--dw-epochs", "-1"],
+     "deepwalk epochs must be >= 0, got -1"),
+    (["train", "--dw-window", "-2"], "deepwalk window must be >= 0, got -2"),
+    (["train", "--lr", "nan"], "lr must be >= 0, got nan"),
 ], ids=["synth", "train", "train-aug-seed", "ablate", "sweep", "batch-size-0",
         "batch-size-negative", "heads-0", "hidden-0", "heads-not-dividing-hidden", "dropout-1",
-        "dropout-negative", "variant", "embed-dim-0", "gae-hidden-0"])
+        "dropout-negative", "variant", "embed-dim-0", "gae-hidden-0", "weight-decay-negative",
+        "pretrain-lr-negative", "pretrain-epochs-0", "dw-dim-0", "dw-epochs-negative",
+        "dw-window-negative", "lr-nan"])
 def test_negative_seed_flag_exits_2_before_any_work(
     synth_dir, tmp_path, capsys, no_work, no_features, argv, message
 ):
@@ -665,6 +675,24 @@ def test_negative_seed_flag_exits_2_before_any_work(
                  id="embed-dim-0"),
     pytest.param("sweep", "train.model.gae_hidden", 0, "gae_hidden must be >= 1, got 0",
                  id="gae-hidden-0"),
+    pytest.param("train", "train.weight_decay", -1, "weight_decay must be >= 0, got -1",
+                 id="weight-decay-negative"),
+    pytest.param("train", "train.pretrain_lr", -1, "pretrain_lr must be >= 0, got -1",
+                 id="pretrain-lr-negative"),
+    pytest.param("ablate", "train.pretrain_epochs", 0, "pretrain_epochs must be >= 1, got 0",
+                 id="pretrain-epochs-0"),
+    pytest.param("train", "train.deepwalk.dim", 0, "deepwalk dim must be >= 1, got 0",
+                 id="dw-dim-0"),
+    pytest.param("sweep", "train.deepwalk.epochs", -1, "deepwalk epochs must be >= 0, got -1",
+                 id="dw-epochs-negative"),
+    pytest.param("train", "train.deepwalk.window", -2, "deepwalk window must be >= 0, got -2",
+                 id="dw-window-negative"),
+    pytest.param("train", "train.adagrad_eps", 0, "adagrad_eps must be > 0, got 0",
+                 id="adagrad-eps-0"),
+    pytest.param("train", "train.deepwalk.lr", -1, "deepwalk lr must be >= 0, got -1",
+                 id="dw-lr-negative"),
+    pytest.param("train", "train.deepwalk.lr", float("nan"), "deepwalk lr must be >= 0, got nan",
+                 id="dw-lr-nan"),
 ])
 def test_negative_seed_in_manifest_exits_3(
     synth_dir, tmp_path, capsys, no_pretraining, no_features, command, path, value, message

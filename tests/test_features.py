@@ -51,7 +51,7 @@ def make_sample(adj, ego=0, state=None, sid="s"):
 class TestRwrSample:
     def test_complete_graph_reaches_target(self):
         g = graph_from_edges(10, [(i, j) for i in range(10) for j in range(i + 1, 10)])
-        out = rwr_sample(g, ego=3, n_target=5, rng=stream(0, "rwr"))
+        out = rwr_sample(g, ego=3, n_target=5, restart_p=0.8, rng=stream(0, "rwr"))
         assert out.graph.n == 5
         assert not out.truncated
         assert 3 in out.node_ids
@@ -59,13 +59,13 @@ class TestRwrSample:
 
     def test_isolated_ego_returns_singleton_with_flag(self):
         g = graph_from_edges(4, [(1, 2)])
-        out = rwr_sample(g, ego=0, n_target=3, rng=stream(1, "rwr"))
+        out = rwr_sample(g, ego=0, n_target=3, restart_p=0.8, rng=stream(1, "rwr"))
         assert out.graph.n == 1
         assert out.truncated
 
     def test_star_center_collects_leaves(self):
         g = graph_from_edges(6, [(0, i) for i in range(1, 6)])
-        out = rwr_sample(g, ego=0, n_target=4, rng=stream(2, "rwr"))
+        out = rwr_sample(g, ego=0, n_target=4, restart_p=0.8, rng=stream(2, "rwr"))
         assert out.graph.n == 4
         assert 0 in out.node_ids
         # everything except the ego must be a leaf of the star
@@ -75,16 +75,11 @@ class TestRwrSample:
 
     def test_induced_subgraph_preserves_edges(self):
         g = graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
-        out = rwr_sample(g, ego=0, n_target=5, rng=stream(3, "rwr"))
+        out = rwr_sample(g, ego=0, n_target=5, restart_p=0.8, rng=stream(3, "rwr"))
         ids = out.node_ids
         for a in range(len(ids)):
             for b in range(len(ids)):
                 assert out.graph.adjacency[a, b] == g.adjacency[ids[a], ids[b]]
-
-    def test_requires_explicit_rng(self):
-        g = graph_from_edges(3, [(0, 1)])
-        with pytest.raises(ConfigError):
-            rwr_sample(g, 0, 2)
 
 
 class TestDeepwalk:
@@ -104,8 +99,9 @@ class TestDeepwalk:
 
     def test_same_stream_same_embeddings(self):
         g = graph_from_edges(8, [(i, (i + 1) % 8) for i in range(8)])
-        e1 = deepwalk_embed(g, dim=6, walks_per_node=3, walk_length=10, rng=stream(5, "dw"))
-        e2 = deepwalk_embed(g, dim=6, walks_per_node=3, walk_length=10, rng=stream(5, "dw"))
+        cfg = DeepWalkConfig(dim=6, walks_per_node=3, walk_length=10)
+        e1 = deepwalk_embed(g, cfg, stream(5, "dw"))
+        e2 = deepwalk_embed(g, cfg, stream(5, "dw"))
         np.testing.assert_array_equal(e1, e2)
 
     def test_disconnected_cliques_are_separable(self):
@@ -115,10 +111,8 @@ class TestDeepwalk:
                 for j in range(i + 1, 5):
                     edges.append((base + i, base + j))
         g = graph_from_edges(10, edges)
-        emb = deepwalk_embed(
-            g, dim=8, walks_per_node=8, walk_length=20, window=3,
-            negatives=4, rng=stream(11, "dw"), epochs=6,
-        )
+        cfg = DeepWalkConfig(dim=8, walks_per_node=8, walk_length=20, window=3, negatives=4, epochs=6)
+        emb = deepwalk_embed(g, cfg, stream(11, "dw"))
         norm = emb / np.linalg.norm(emb, axis=1, keepdims=True)
         sim = norm @ norm.T
         intra, inter = [], []
@@ -129,7 +123,8 @@ class TestDeepwalk:
 
     def test_isolated_node_keeps_initialization(self):
         g = graph_from_edges(4, [(0, 1), (1, 2)])
-        emb = deepwalk_embed(g, dim=4, walks_per_node=2, walk_length=6, rng=stream(7, "dw"))
+        cfg = DeepWalkConfig(dim=4, walks_per_node=2, walk_length=6)
+        emb = deepwalk_embed(g, cfg, stream(7, "dw"))
         # node 3 never enters a walk pair: its row stays at the uniform init scale
         assert np.all(np.abs(emb[3]) <= 0.5 / 4 + 1e-12)
 
@@ -217,10 +212,9 @@ class TestRandomWalkProperties:
             if walk[0] in isolated:
                 assert walk == [walk[0]]
                 assert skipgram_pairs(walk, 3) == []
-        emb = deepwalk_embed(
-            g, dim=3, walks_per_node=walks_per_node, walk_length=walk_length,
-            window=2, negatives=2, rng=stream(seed, "dw"), epochs=2,
-        )
+        cfg = DeepWalkConfig(dim=3, walks_per_node=walks_per_node, walk_length=walk_length,
+                             window=2, negatives=2, epochs=2)
+        emb = deepwalk_embed(g, cfg, stream(seed, "dw"))
         init = (stream(seed, "dw").random((g.n, 3)) - 0.5) / 3
         np.testing.assert_array_equal(emb[isolated], init[isolated])
 
@@ -258,11 +252,14 @@ def graph_with_isolated_node(n, seed):
     return UndirectedGraph(adj)
 
 
-@pytest.mark.parametrize("bad", [dict(walks_per_node=-1), dict(negatives=-1)])
+@pytest.mark.parametrize("bad", [
+    dict(walks_per_node=-1), dict(negatives=-1), dict(walk_length=-1), dict(window=-1),
+    dict(epochs=-1), dict(lr=-0.05),
+])
 def test_negative_walk_or_negative_count_is_config_error(bad):
-    g = graph_from_edges(3, [(0, 1)])
-    with pytest.raises(ConfigError):
-        deepwalk_embed(g, dim=2, rng=stream(0, "dw"), **bad)
+    (name,) = bad
+    with pytest.raises(ConfigError, match=f"deepwalk {name} must be >= 0"):
+        DeepWalkConfig(dim=2, **bad)
 
 
 class TestDeepwalkOracle:
@@ -300,7 +297,7 @@ class TestDeepwalkOracle:
         want = oracle_skipgram_sgd(
             w_in, walks, dw["window"], dw["negatives"], dw["epochs"], 0.05, rng
         )
-        got = deepwalk_embed(g, rng=stream(9, "dw"), lr=0.05, **dw)
+        got = deepwalk_embed(g, DeepWalkConfig(lr=0.05, **dw), stream(9, "dw"))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert not np.array_equal(got, w_in)
 
@@ -376,7 +373,7 @@ class TestKernelBitIdentical:
     def test_matches_dense_oracle_bytes(self, case):
         g, dw = KERNEL_CASES[case]
         dw = {"lr": 0.05, **dw}
-        got = deepwalk_embed(g, rng=stream(9, "dw"), **dw)
+        got = deepwalk_embed(g, DeepWalkConfig(**dw), stream(9, "dw"))
         want = oracle_deepwalk_embed(g, rng=stream(9, "dw"), **dw)
         assert got.tobytes() == want.tobytes()
 
@@ -408,7 +405,7 @@ class TestKernelBitIdentical:
     ):
         dw = dict(dim=dim, walks_per_node=walks_per_node, walk_length=walk_length,
                   window=window, negatives=negatives, epochs=epochs, lr=lr)
-        got = deepwalk_embed(g, rng=stream(seed, "dw"), **dw)
+        got = deepwalk_embed(g, DeepWalkConfig(**dw), stream(seed, "dw"))
         want = oracle_deepwalk_embed(g, rng=stream(seed, "dw"), **dw)
         assert got.tobytes() == want.tobytes()
 
