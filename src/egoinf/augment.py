@@ -51,7 +51,7 @@ def edge_probabilities(
             f"feature width {x.shape[1]} does not match the checkpoint's "
             f"expected width {vgae.in_width}"
         )
-    tape = Tape()
+    tape = Tape(grad=False)
     a_hat = normalized_adjacency(sample.graph.adjacency)
     z, _, _ = vgae_encode(tape, vgae, tape.leaf(x), tape.leaf(a_hat))
     probs = inner_product_decode(tape, z).values

@@ -2,17 +2,18 @@
 
 Every trainable model in this package is built from the primitives below.
 An operation computes its result eagerly in numpy and records a node
-(inputs + backward rule) on the Tape; ``Tape.backward`` replays the
+(inputs + backward rule) on the Tape unless the tape is no-grad
+(``Tape(grad=False)``, for inference); ``Tape.backward`` replays the
 records once, in reverse, accumulating gradients. Matrices are always
 2-D float64; scalars are 1x1 matrices. Inside an op numpy may use any
 shape: ``gat_heads`` runs every attention head of a GAT layer as one node
 and lays its result out as an (n, H*f) matrix. Its scores and masked
-softmax run on the mask's E nonzeros as (H, E) arrays, O(H*E); only the
-coefficients are scattered into a dense (H, n, n) array, for the BLAS
-aggregation and its backward products.
+softmax run on the E edges of the caller's ``layers.EdgeLayout`` as
+(H, E) arrays, O(H*E); only the coefficients are scattered into a dense
+(H, n, n) array, for the BLAS aggregation and its backward products.
 
-Any op whose result contains NaN/Inf raises ``NumericsError`` at record
-time, so divergence is caught where it happens.
+Any op whose result contains NaN/Inf raises ``NumericsError`` when it is
+computed, on any tape, so divergence is caught where it happens.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ _CLIP = 1e-12  # probability clamp for cross-entropy terms
 
 
 class Tensor:
-    """A 2-D fp64 matrix living as one node on a Tape."""
+    """A 2-D fp64 matrix: one node on a Tape, or a bare value on a no-grad one."""
 
     __slots__ = ("values", "idx", "parents", "grad_fn")
 
@@ -77,7 +78,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def attention_weights(
-    hw: np.ndarray, att: np.ndarray, mask: np.ndarray, heads: int, slope: float
+    hw: np.ndarray, att: np.ndarray, layout, heads: int, slope: float
 ) -> tuple[np.ndarray, tuple]:
     """Graph attention coefficients of all heads at once.
 
@@ -85,15 +86,14 @@ def attention_weights(
     (2f, H) with head k's source half in rows :f and destination half in
     rows f: of column k. Head k scores pair (i, j) as
     leaky_relu(a_src_k . hw_k[i] + a_dst_k . hw_k[j]) and softmaxes each
-    row over the mask's nonzero entries.
+    row over the mask's nonzero entries, which ``layout`` (a
+    ``layers.EdgeLayout`` for n nodes) lists row by row.
 
-    Scores, leaky-ReLU and softmax run on the E nonzeros only, as (H, E)
-    arrays in row-major order, so they cost O(H*E) rather than O(H*n*n).
-    Returns alpha as a dense (H, n, n) array, zero where masked, for the
-    BLAS aggregation alpha @ hw, and the edges the backward reuses:
-    (flat, counts, alpha_e, factor) with each nonzero's row-major position
-    in the n*n square, the nonzeros per row, and every edge's (H, E)
-    coefficient and leaky-ReLU slope (1 or slope).
+    Scores, leaky-ReLU and softmax run on the E edges only, as (H, E)
+    arrays, so they cost O(H*E) rather than O(H*n*n). Returns alpha as a
+    dense (H, n, n) array, zero where masked, for the BLAS aggregation
+    alpha @ hw, and every edge's (H, E) coefficient and leaky-ReLU slope
+    (1 or slope), which the backward reuses.
     """
     n = hw.shape[0]
     if att.ndim != 2 or att.shape[1] != heads or att.shape[0] % 2:
@@ -101,29 +101,22 @@ def attention_weights(
     fp = att.shape[0] // 2
     if hw.shape[1] != heads * fp:
         raise DimensionError(f"attention: features {hw.shape} vs att {att.shape}")
-    keep = np.asarray(mask) != 0
-    if keep.shape != (n, n):
-        raise DimensionError(f"attention: mask {keep.shape} for {n} nodes")
-    flat = np.flatnonzero(keep)  # row-major: each row's edges are contiguous
-    rows, cols = np.divmod(flat, n)
-    counts = np.bincount(rows, minlength=n)
-    if not counts.all():
-        bad = int(np.flatnonzero(counts == 0)[0])
-        raise ConfigError(f"masked softmax: row {bad} fully masked")
-    starts = np.cumsum(counts) - counts
+    if layout.counts.size != n:
+        raise DimensionError(f"attention: layout of {layout.counts.size} nodes for {n}")
+    starts, counts = layout.starts, layout.counts
     hw3 = hw.reshape(n, heads, fp).transpose(1, 0, 2)  # (H, n, f)
     a3 = att.reshape(2, fp, heads).transpose(2, 0, 1)  # (H, 2, f): src, dst
     fg = a3 @ hw3.transpose(0, 2, 1)  # (H, 2, n): both terms per node
-    scores = fg[:, 0].take(rows, axis=1)
-    scores += fg[:, 1].take(cols, axis=1)
+    scores = fg[:, 0].take(layout.rows, axis=1)
+    scores += fg[:, 1].take(layout.cols, axis=1)
     factor = np.where(scores > 0, 1.0, slope)
     scores *= factor
     scores -= np.maximum.reduceat(scores, starts, axis=1).repeat(counts, axis=1)
     e = np.exp(scores, out=scores)
     e /= np.add.reduceat(e, starts, axis=1).repeat(counts, axis=1)
     alpha = np.zeros((heads, n * n))
-    alpha[:, flat] = e
-    return alpha.reshape(heads, n, n), (flat, counts, e, factor)
+    alpha[:, layout.flat] = e
+    return alpha.reshape(heads, n, n), (e, factor)
 
 
 class Tape:
@@ -131,10 +124,12 @@ class Tape:
 
     Nodes only ever reference earlier nodes, so iterating the record
     backwards visits each node exactly once with its output gradient
-    fully accumulated.
+    fully accumulated. A no-grad tape (grad=False) computes the same
+    values but records no node, parent, backward rule or leaf.
     """
 
-    def __init__(self):
+    def __init__(self, grad: bool = True):
+        self.grad_enabled = grad
         self._nodes: list[Tensor] = []
         self._leaves: dict[int, Tensor] = {}
         self._grads: list[np.ndarray | None] = []
@@ -153,13 +148,15 @@ class Tape:
         node = self._record(arr, (), None)
         # cache only when the node holds the caller's array itself; a
         # converted copy would let the original die and its id be reused
-        if arr is values:
+        if arr is values and self.grad_enabled:
             self._leaves[id(values)] = node
         return node
 
     def _record(self, values: np.ndarray, parents: tuple, grad_fn) -> Tensor:
         if not np.isfinite(values).all():
             raise NumericsError("operation produced non-finite values")
+        if not self.grad_enabled:
+            return Tensor(values, -1)
         node = Tensor(values, len(self._nodes), parents, grad_fn)
         self._nodes.append(node)
         return node
@@ -281,21 +278,18 @@ class Tape:
         y = np.exp(a.values)
         return self._record(y, (a,), lambda g: (g * y,))
 
-    def gat_heads(
-        self, hw: Tensor, att: Tensor, mask: np.ndarray, heads: int, slope: float
-    ) -> Tensor:
+    def gat_heads(self, hw: Tensor, att: Tensor, layout, heads: int, slope: float) -> Tensor:
         """Multi-head graph attention as one node: head k's output
         alpha_k @ hw_k lands in columns k*f:(k+1)*f of an (n, H*f) result.
 
-        hw and att are laid out as in ``attention_weights``; mask is a
-        constant. Gradients flow to hw and att. The aggregation and its
-        two backward products are dense BLAS matmuls over the (H, n, n)
-        alpha; the softmax and leaky-ReLU backward run on the (H, E) edges.
+        hw, att and the constant edge layout are as in ``attention_weights``.
+        Gradients flow to hw and att. The aggregation and its two backward
+        products are dense BLAS matmuls over the (H, n, n) alpha; the
+        softmax and leaky-ReLU backward run on the layout's (H, E) edges.
         """
         n = hw.rows
-        alpha, (flat, counts, alpha_e, factor) = attention_weights(
-            hw.values, att.values, mask, heads, slope
-        )
+        alpha, (alpha_e, factor) = attention_weights(hw.values, att.values, layout, heads, slope)
+        starts, counts = layout.starts, layout.counts
         fp = att.rows // 2
         hw3 = hw.values.reshape(n, heads, fp).transpose(1, 0, 2)
         a3 = att.values.reshape(2, fp, heads).transpose(2, 0, 1)
@@ -305,12 +299,11 @@ class Tape:
             d_hw3 = alpha.transpose(0, 2, 1) @ g3
             # back through the masked softmax and the leaky-ReLU at the
             # edges, then to the source (row) and destination (column) terms
-            d_s = (g3 @ hw3.transpose(0, 2, 1)).reshape(heads, n * n).take(flat, axis=1)
-            starts = np.cumsum(counts) - counts
+            d_s = (g3 @ hw3.transpose(0, 2, 1)).reshape(heads, n * n).take(layout.flat, axis=1)
             d_s -= np.add.reduceat(d_s * alpha_e, starts, axis=1).repeat(counts, axis=1)
             d_s *= alpha_e
             d_s *= factor
-            dst = flat % n + n * np.arange(heads)[:, None]  # column, per head
+            dst = layout.cols + n * np.arange(heads)[:, None]  # column, per head
             d_dst = np.bincount(dst.ravel(), d_s.ravel(), heads * n).reshape(heads, n)
             d_fg = np.stack([np.add.reduceat(d_s, starts, axis=1), d_dst], axis=1)
             d_hw3 += d_fg.transpose(0, 2, 1) @ a3
@@ -400,6 +393,8 @@ class Tape:
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate gradients of a scalar loss into every reachable node."""
+        if not self.grad_enabled:
+            raise ConfigError("backward on a no-grad tape, which records nothing")
         if loss.shape != (1, 1):
             raise ConfigError(f"backward needs a scalar (1x1) loss, got {loss.shape}")
         grads: list[np.ndarray | None] = [None] * (loss.idx + 1)

@@ -129,6 +129,7 @@ def reconstruction_ce(
 class AutoencTrainConfig:
     epochs: int
     lr: float
+    adagrad_eps: float
     seed: int
 
 
@@ -151,7 +152,7 @@ def _fit(model, graphs, cfg: AutoencTrainConfig, name: str, loss_of):
     if not graphs:
         raise ConfigError(f"train_{name.lower()}: empty dataset")
     items = list(enumerate(graphs))
-    opt = Adagrad(model.parameters(), lr=cfg.lr)
+    opt = Adagrad(model.parameters(), lr=cfg.lr, eps=cfg.adagrad_eps)
 
     def diverged(_, exc):
         return f"{name} diverged at epoch {epoch}: {exc}"

@@ -2,17 +2,19 @@
 
 The prediction head consumes [Z | influence | deepwalk] per node, where Z
 comes from the autoencoder branch at forward time. Everything else here is
-static per sample and cached by sample id.
+static per sample, built once when its bundle is and cached by sample id:
+the encoder input, the normalized adjacency and the attention mask's edge
+layout, which every GAT layer and every forward of the sample reads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .deepwalk import DeepWalkConfig, deepwalk_embed
 from .graphs import EgoSample
-from .layers import normalized_adjacency
+from .layers import EdgeLayout, attention_layout, normalized_adjacency
 from .rng import stream
 
 
@@ -27,21 +29,24 @@ def influence_features(s: EgoSample) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureBundle:
-    """Static per-sample tensors shared by the encoder and the head."""
+    """Static per-sample tensors shared by the encoder and the head. The
+    encoder input and the attention layout are derived from the other
+    fields once, when the bundle is built."""
 
     influence: np.ndarray  # n x 2
     deepwalk: np.ndarray  # n x d_w
     adjacency: np.ndarray  # n x n float 0/1
     a_hat: np.ndarray  # normalized adjacency
+    layout: EdgeLayout = field(init=False, repr=False)  # adjacency + self-loops
+    encoder_input: np.ndarray = field(init=False, repr=False)  # [influence | deepwalk]
+
+    def __post_init__(self):
+        object.__setattr__(self, "layout", attention_layout(self.adjacency))
+        object.__setattr__(self, "encoder_input", np.hstack([self.influence, self.deepwalk]))
 
     @property
     def n(self) -> int:
         return self.influence.shape[0]
-
-    @property
-    def encoder_input(self) -> np.ndarray:
-        """Autoencoder feature matrix: [influence | deepwalk], n x (2 + d_w)."""
-        return np.hstack([self.influence, self.deepwalk])
 
     @property
     def width(self) -> int:

@@ -15,11 +15,15 @@ one ``Tape.gat_heads`` node that computes every head at once; the head
 adds one ELU node after each hidden layer. Attention scores and their
 softmax cost O(H*E) over the E edges of the attention mask (neighbours
 plus self); the aggregation multiplies a dense (H, n, n) coefficient
-array with BLAS.
+array with BLAS. The mask's edge layout (``EdgeLayout``) is built once
+per feature bundle, and the head's three layers and their backward all
+read that one layout.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,24 +102,56 @@ class GatLayer:
         return {"w": self.weight, "a": self.att}
 
 
-def _attention_mask(adj: np.ndarray) -> np.ndarray:
-    # every node attends over its neighbours and itself
-    return np.asarray(adj, dtype=np.float64) + np.eye(adj.shape[0])
+class EdgeLayout(NamedTuple):
+    """An attention mask's nonzeros in row-major order, so each row's edges
+    are contiguous: their positions in the n*n square (``flat``), rows and
+    columns, and each row's edge count and first edge index. All are
+    length-E or length-n integer arrays; no n x n array is kept."""
+
+    flat: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def from_mask(cls, mask: np.ndarray) -> "EdgeLayout":
+        keep = np.asarray(mask) != 0
+        if keep.ndim != 2 or keep.shape[0] != keep.shape[1]:
+            raise DimensionError(f"attention mask must be square, got {keep.shape}")
+        n = keep.shape[0]
+        flat = np.flatnonzero(keep)
+        rows, cols = np.divmod(flat, n)
+        counts = np.bincount(rows, minlength=n)
+        if not counts.all():
+            bad = int(np.flatnonzero(counts == 0)[0])
+            raise ConfigError(f"masked softmax: row {bad} fully masked")
+        return cls(flat, rows, cols, counts, np.cumsum(counts) - counts)
 
 
-def gat_forward(tape: Tape, layer: GatLayer, h: Tensor, adj: np.ndarray) -> Tensor:
+def attention_layout(adj: np.ndarray) -> EdgeLayout:
+    """The head's attention edges: every node attends over its neighbours
+    and itself."""
+    return EdgeLayout.from_mask(np.asarray(adj, dtype=np.float64) + np.eye(adj.shape[0]))
+
+
+@functools.cache
+def _head_mean(f_out: int, heads: int) -> np.ndarray:
+    # mean over heads: (n, H*f) @ H stacked f x f identities / H
+    avg = np.tile(np.eye(f_out), (heads, 1)) / heads
+    avg.flags.writeable = False
+    return avg
+
+
+def gat_forward(tape: Tape, layer: GatLayer, h: Tensor, layout: EdgeLayout) -> Tensor:
     if h.cols != layer.weight.shape[0]:
         raise DimensionError(
             f"gat_forward: features {h.shape} vs weight {layer.weight.shape}"
         )
     hw = tape.matmul(h, tape.leaf(layer.weight))
-    out = tape.gat_heads(
-        hw, tape.leaf(layer.att), _attention_mask(adj), layer.heads, LEAKY_SLOPE
-    )
+    out = tape.gat_heads(hw, tape.leaf(layer.att), layout, layer.heads, LEAKY_SLOPE)
     if not layer.concat:
-        # mean over heads: (n, H*f) @ H stacked f x f identities / H
-        avg = np.tile(np.eye(layer.f_out), (layer.heads, 1)) / layer.heads
-        out = tape.matmul(out, tape.leaf(avg))
+        out = tape.matmul(out, tape.leaf(_head_mean(layer.f_out, layer.heads)))
     return out
 
 
@@ -173,11 +209,12 @@ def prediction_forward(
     tape: Tape,
     net: PredictionNet,
     h: Tensor,
-    adj: np.ndarray,
+    layout: EdgeLayout,
     a_hat: Tensor,
     drop_rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Run the head, ELU after every layer but the last; drop_rng=None
+    """Run the head, ELU after every layer but the last; a GAT head attends
+    over ``layout``, a GCN head aggregates with ``a_hat``. drop_rng=None
     disables dropout (eval mode)."""
     x = h
     for i, layer in enumerate(net.layers):
@@ -185,7 +222,7 @@ def prediction_forward(
             x = tape.elu(x)
         x = tape.dropout(x, net.dropout, drop_rng)
         if isinstance(layer, GatLayer):
-            x = gat_forward(tape, layer, x, adj)
+            x = gat_forward(tape, layer, x, layout)
         else:
             x = gcn_forward(tape, layer, x, a_hat)
     return x

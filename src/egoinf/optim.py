@@ -20,8 +20,8 @@ class Adagrad:
         self,
         params: dict[str, np.ndarray],
         lr: float,
+        eps: float,
         weight_decay: float = 0.0,
-        eps: float = 1e-10,
     ):
         if lr < 0:
             raise ConfigError(f"learning rate must be >= 0, got {lr}")

@@ -151,17 +151,15 @@ class JointModel:
 
 
 def frozen_encode(gae: GaeModel, fb: FeatureBundle) -> np.ndarray:
-    """Eval-mode embedding from a frozen branch (scratch tape, no grads kept)."""
-    tape = Tape()
+    """Eval-mode embedding from a frozen branch, on a no-grad tape."""
+    tape = Tape(grad=False)
     z = gae_encode(tape, gae, tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat))
     return z.values
 
 
 def _forward_logits(tape, model, fb, z, drop_rng):
     h0 = tape.concat_cols([z, tape.leaf(fb.influence), tape.leaf(fb.deepwalk)])
-    return prediction_forward(
-        tape, model.head, h0, fb.adjacency, tape.leaf(fb.a_hat), drop_rng
-    )
+    return prediction_forward(tape, model.head, h0, fb.layout, tape.leaf(fb.a_hat), drop_rng)
 
 
 def sample_loss(
@@ -284,10 +282,10 @@ def predict(
     variants = [sample]
     if abl.test_aug and cfg.aug.count > 0:
         variants += augmented_copies(sample, vgae, cfg.aug, store)
+    tape = Tape(grad=False)  # nothing differentiates a score
     probs = []
     for v in variants:
         fb = store.bundle(v)
-        tape = Tape()
         z = gae_encode(tape, model.gae, tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat))
         logits = _forward_logits(tape, model, fb, z, drop_rng=None)
         probs.append(softmax_row(logits.values, v.ego))
@@ -301,6 +299,7 @@ def _pretrain(fit, model, samples, cfg: TrainConfig, store, seed: int, name: str
     pre = AutoencTrainConfig(
         epochs=cfg.pretrain_epochs,
         lr=cfg.pretrain_lr,
+        adagrad_eps=cfg.adagrad_eps,
         seed=derive_seed(seed, f"{name}-pretrain"),
     )
     return fit(model, data, pre)

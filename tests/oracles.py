@@ -1,8 +1,10 @@
 """Brute-force reference implementations shared by the unit and acceptance
 tests. These stay deliberately loop-based and independent of the library
-code paths they check. Beside them: the finite-difference grad_check, and
+code paths they check. Beside them: the finite-difference grad_check;
 gat_attention and random_walks, which expose library intermediates (the
-attention matrices, the walks) in the form the tests compare."""
+attention matrices, the walks) in the form the tests compare; and the
+recording_* inference references, which run the library's forwards on a
+recording tape, for the no-grad inference tapes to match bit for bit."""
 import math
 
 import numpy as np
@@ -68,11 +70,10 @@ def gat_attention(tape, layer, h, adj):
     """The fused kernel's per-head attention matrices for a GatLayer, as
     constant leaves on tape; rows sum to 1 over neighbours plus self."""
     from egoinf.autodiff import attention_weights
-    from egoinf.layers import LEAKY_SLOPE
+    from egoinf.layers import LEAKY_SLOPE, attention_layout
 
-    mask = np.asarray(adj, dtype=np.float64) + np.eye(adj.shape[0])
     alpha, _ = attention_weights(
-        h.values @ layer.weight, layer.att, mask, layer.heads, LEAKY_SLOPE
+        h.values @ layer.weight, layer.att, attention_layout(adj), layer.heads, LEAKY_SLOPE
     )
     return [tape.leaf(a) for a in alpha]
 
@@ -427,3 +428,46 @@ class GradCheckReport:
     def __repr__(self):
         state = "pass" if self.passed else "FAIL"
         return f"GradCheckReport({state}, max_rel_err={self.max_rel_err:.3e}, worst={self.worst})"
+
+
+def recording_frozen_encode(gae, fb):
+    """``training.frozen_encode`` on a recording tape."""
+    from egoinf.autodiff import Tape
+    from egoinf.autoenc import gae_encode
+
+    tape = Tape()
+    return gae_encode(tape, gae, tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat)).values
+
+
+def recording_edge_probabilities(sample, vgae, features):
+    """``augment.edge_probabilities`` on a recording tape."""
+    from egoinf.autodiff import Tape
+    from egoinf.autoenc import inner_product_decode, vgae_encode
+    from egoinf.layers import normalized_adjacency
+
+    tape = Tape()
+    a_hat = normalized_adjacency(sample.graph.adjacency)
+    z, _, _ = vgae_encode(tape, vgae, tape.leaf(features), tape.leaf(a_hat))
+    return inner_product_decode(tape, z).values
+
+
+def recording_predict(model, sample, abl, vgae, cfg, store):
+    """``training.predict`` with a recording tape per variant: the mean
+    class-1 probability over the sample and its test-time copies."""
+    from egoinf.autodiff import Tape
+    from egoinf.autoenc import gae_encode
+    from egoinf.layers import prediction_forward, softmax_row
+    from egoinf.training import augmented_copies
+
+    variants = [sample]
+    if abl.test_aug and cfg.aug.count > 0:
+        variants += augmented_copies(sample, vgae, cfg.aug, store)
+    probs = []
+    for v in variants:
+        fb = store.bundle(v)
+        tape = Tape()
+        z = gae_encode(tape, model.gae, tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat))
+        h0 = tape.concat_cols([z, tape.leaf(fb.influence), tape.leaf(fb.deepwalk)])
+        logits = prediction_forward(tape, model.head, h0, fb.layout, tape.leaf(fb.a_hat))
+        probs.append(softmax_row(logits.values, v.ego)[1])
+    return float(np.mean(probs))

@@ -5,6 +5,7 @@ import pytest
 
 from egoinf.autodiff import Tape
 from egoinf.errors import ConfigError, DimensionError, NumericsError
+from egoinf.layers import EdgeLayout
 
 from .oracles import grad_check, leaky_relu, row_softmax_masked
 
@@ -47,21 +48,18 @@ class TestPrimitiveValues:
             row_softmax_masked(t, t.leaf(np.zeros((2, 2))), np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     def test_gat_heads_rejects_fully_masked_row_and_bad_shapes(self):
+        # a fully masked row never reaches gat_heads: its layout fails to build
+        with pytest.raises(ConfigError, match="row 1"):
+            EdgeLayout.from_mask(np.array([[1.0, 0.0], [0.0, 0.0]]))
         t = Tape()
         hw, att = t.leaf(np.zeros((2, 4))), t.leaf(np.zeros((4, 2)))
-        with pytest.raises(ConfigError, match="row 1"):
-            t.gat_heads(hw, att, np.array([[1.0, 0.0], [0.0, 0.0]]), 2, 0.2)
-        # the first fully masked row is named, wherever it sits
-        mask = np.ones((30, 30))
-        mask[[13, 20]] = 0.0
-        with pytest.raises(ConfigError, match="row 13 fully masked"):
-            t.gat_heads(t.leaf(np.zeros((30, 4))), att, mask, 2, 0.2)
+        eye2 = EdgeLayout.from_mask(np.eye(2))
         with pytest.raises(DimensionError):
-            t.gat_heads(hw, att, np.eye(2), 1, 0.2)
+            t.gat_heads(hw, att, eye2, 1, 0.2)
         with pytest.raises(DimensionError):
-            t.gat_heads(hw, t.leaf(np.zeros((6, 2))), np.eye(2), 2, 0.2)
+            t.gat_heads(hw, t.leaf(np.zeros((6, 2))), eye2, 2, 0.2)
         with pytest.raises(DimensionError):
-            t.gat_heads(hw, att, np.eye(3), 2, 0.2)
+            t.gat_heads(hw, att, EdgeLayout.from_mask(np.eye(3)), 2, 0.2)
 
     def test_shape_mismatch_names_both_shapes(self):
         t = Tape()
@@ -143,6 +141,47 @@ class TestBackward:
         np.testing.assert_array_equal(t.grad(other), np.zeros((2, 2)))
 
 
+def every_op_forward(t, x, w, mask):
+    """Every primitive the models use, chained on tape t; returns the final node."""
+    xt, wt = t.leaf(x), t.leaf(w)
+    h = t.elu(t.matmul(xt, wt))
+    h = t.add(t.hadamard(h, t.sigmoid(h)), t.relu(t.scale(h, -0.5)))
+    h = t.gat_heads(h, t.leaf(np.ones((2, 3))), EdgeLayout.from_mask(mask), 3, 0.2)
+    h = t.dropout(t.exp(t.clip(t.transpose(t.transpose(h)), -5.0, 5.0)), 0.5, None)
+    z = t.concat_cols([h, t.slice_cols(h, 0, 1)])
+    kl = t.gaussian_kl(t.slice_rows(z, 0, 2), t.slice_rows(z, 2, 4))
+    bce = t.bce_mean(t.sigmoid(z), np.ones(z.shape), np.ones(z.shape), np.ones(z.shape))
+    head = t.add(t.mean(z), t.sum(t.slice_rows(z, 0, 1)))
+    return t.add(head, t.add(kl, t.add(bce, t.logsumexp(z))))
+
+
+class TestNoGradTape:
+    def test_same_values_and_no_nodes(self):
+        rng = np.random.default_rng(21)
+        x, w = rng.standard_normal((4, 5)), rng.standard_normal((5, 3))
+        mask = np.eye(4) + (rng.random((4, 4)) < 0.5)
+        recording, no_grad = Tape(), Tape(grad=False)
+        want = every_op_forward(recording, x, w, mask).values
+        got = every_op_forward(no_grad, x, w, mask).values
+        np.testing.assert_array_equal(got, want)
+        assert len(recording) > 20
+        assert len(no_grad) == 0
+
+    def test_nonfinite_result_is_still_an_error(self):
+        t = Tape(grad=False)
+        big = t.leaf(np.full((1, 1), 1e308))
+        with np.errstate(over="ignore"), pytest.raises(NumericsError):
+            t.hadamard(big, big)
+        with pytest.raises(NumericsError):
+            t.leaf(np.array([[np.nan]]))
+
+    def test_backward_is_a_config_error(self):
+        t = Tape(grad=False)
+        loss = t.sum(t.leaf(toy((2, 2))))
+        with pytest.raises(ConfigError, match="no-grad"):
+            t.backward(loss)
+
+
 def composite_loss(params, x, mask, drop=None):
     t = Tape()
     w = t.leaf(params["w"])
@@ -211,11 +250,12 @@ class TestGradCheck:
         rng = np.random.default_rng(12)
         mask = (rng.random((5, 5)) < 0.5).astype(float)
         np.fill_diagonal(mask, 1.0)
+        layout = EdgeLayout.from_mask(mask)
         probe = rng.standard_normal((5, 6))
 
         def f(p):
             t = Tape()
-            out = t.gat_heads(t.leaf(p["hw"]), t.leaf(p["att"]), mask, 3, 0.2)
+            out = t.gat_heads(t.leaf(p["hw"]), t.leaf(p["att"]), layout, 3, 0.2)
             loss = t.sum(t.hadamard(out, t.leaf(probe)))
             t.backward(loss)
             return float(loss.values[0, 0]), {k: t.grad(v) for k, v in p.items()}

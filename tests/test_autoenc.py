@@ -223,18 +223,23 @@ def toy_two_cluster_graph():
     return a
 
 
+def pretrain_cfg(epochs, lr, seed):
+    """Pretraining settings at TrainConfig's default Adagrad eps."""
+    return AutoencTrainConfig(epochs=epochs, lr=lr, adagrad_eps=1e-10, seed=seed)
+
+
 class TestTraining:
     def test_vgae_reduces_reconstruction_on_toy_graph(self):
         adj = toy_two_cluster_graph()
         model = VgaeModel.create(20, 16, 8, rng_for(0))
-        _, trace = train_vgae(model, [(None, adj)], AutoencTrainConfig(epochs=200, lr=0.1, seed=0))
+        _, trace = train_vgae(model, [(None, adj)], pretrain_cfg(200, 0.1, 0))
         assert trace[-1]["ce"] <= 0.7 * trace[0]["ce"]
         assert all(row["kld"] >= 0.0 for row in trace)
 
     def test_zero_learning_rate_freezes_loss(self):
         adj = toy_two_cluster_graph()
         model = VgaeModel.create(20, 8, 4, rng_for(1))
-        _, trace = train_vgae(model, [(None, adj)], AutoencTrainConfig(epochs=5, lr=0.0, seed=3))
+        _, trace = train_vgae(model, [(None, adj)], pretrain_cfg(5, 0.0, 3))
         totals = {round(row["ce"], 12) for row in trace}
         assert len(totals) == 1
 
@@ -243,16 +248,14 @@ class TestTraining:
         traces = []
         for _ in range(2):
             model = VgaeModel.create(20, 8, 4, rng_for(2))
-            _, trace = train_vgae(
-                model, [(None, adj)], AutoencTrainConfig(epochs=10, lr=0.05, seed=9)
-            )
+            _, trace = train_vgae(model, [(None, adj)], pretrain_cfg(10, 0.05, 9))
             traces.append([row["total"] for row in trace])
         assert traces[0] == traces[1]
 
     def test_gae_training_reduces_loss(self):
         adj = toy_two_cluster_graph()
         model = GaeModel.create(20, 16, 8, rng_for(3))
-        _, trace = train_gae(model, [(None, adj)], AutoencTrainConfig(epochs=150, lr=0.1, seed=0))
+        _, trace = train_gae(model, [(None, adj)], pretrain_cfg(150, 0.1, 0))
         assert trace[-1]["ce"] < trace[0]["ce"]
 
     @pytest.mark.parametrize(
@@ -260,7 +263,7 @@ class TestTraining:
     )
     def test_empty_dataset_rejected(self, train, model_cls):
         with pytest.raises(ConfigError, match=f"^{train.__name__}: empty dataset$"):
-            train(model_cls.create(2, 2, 2, rng_for(4)), [], AutoencTrainConfig(epochs=1, lr=0.1, seed=0))
+            train(model_cls.create(2, 2, 2, rng_for(4)), [], pretrain_cfg(1, 0.1, 0))
 
     @pytest.mark.parametrize(
         "train,model_cls,name",
@@ -275,4 +278,4 @@ class TestTraining:
         model.w0[...] = 1e200  # forces an overflow on the first forward pass
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match=f"^{name} diverged at epoch 0: "):
-                train(model, [(None, adj)], AutoencTrainConfig(epochs=3, lr=0.1, seed=0))
+                train(model, [(None, adj)], pretrain_cfg(3, 0.1, 0))

@@ -13,6 +13,7 @@ from egoinf.deepwalk import (
 from egoinf.errors import ConfigError
 from egoinf.features import DeepWalkConfig, FeatureStore, influence_features
 from egoinf.graphs import EgoSample, UndirectedGraph
+from egoinf.layers import attention_layout
 from egoinf.rng import stream
 from egoinf.sampling import rwr_sample
 
@@ -157,6 +158,16 @@ class TestFeatureStore:
         assert fb.encoder_input.shape == (2, 6)
         assert fb.width == 6
         assert store.bundle(s) is fb
+
+    def test_bundle_builds_encoder_input_and_layout_once(self):
+        s = make_sample([[0, 1, 0], [1, 0, 0], [0, 0, 0]], sid="once")
+        fb = FeatureStore(0, DeepWalkConfig(dim=4, walks_per_node=2, walk_length=6)).bundle(s)
+        assert fb.encoder_input is fb.encoder_input
+        np.testing.assert_array_equal(fb.encoder_input, np.hstack([fb.influence, fb.deepwalk]))
+        for got, want in zip(fb.layout, attention_layout(fb.adjacency)):
+            np.testing.assert_array_equal(got, want)
+        # the isolated node attends to itself
+        np.testing.assert_array_equal(fb.layout.counts, [2, 2, 1])
 
     def test_same_id_different_graph_not_conflated(self):
         a = make_sample([[0, 1], [1, 0]], sid="same")

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from egoinf.autodiff import Tape
-from egoinf.errors import ConfigError
+from egoinf.errors import ConfigError, DimensionError
 from egoinf.features import DeepWalkConfig, feature_width
 from egoinf.layers import (
+    EdgeLayout,
     GatLayer,
     GcnLayer,
+    attention_layout,
     build_prediction_net,
     ego_nll,
     gat_forward,
@@ -164,10 +166,10 @@ def assert_fused_matches_chain(adj, f_in, f_out, heads, concat, rng):
     layer = GatLayer.create(f_in, f_out, heads, rng, concat=concat)
     probe = rng.standard_normal((n, f_out * heads if concat else f_out))
     results = []
-    for forward in (gat_forward, oracle_gat_chain):
+    for forward, graph in ((gat_forward, attention_layout(adj)), (oracle_gat_chain, adj)):
         t = Tape()
         x = t.leaf(h)
-        out = forward(t, layer, x, adj)
+        out = forward(t, layer, x, graph)
         t.backward(t.sum(t.hadamard(out, t.leaf(probe))))
         grads = {k: t.grad(v) for k, v in layer.parameters().items()}
         results.append((out.values, t.grad(x), grads))
@@ -241,7 +243,7 @@ class TestGatForward:
         h = rng_for(6).standard_normal((n, f))
         layer = GatLayer(weight=np.eye(f), att=np.zeros((2 * f, 1)))
         t = Tape()
-        out = gat_forward(t, layer, t.leaf(h), np.zeros((n, n)))
+        out = gat_forward(t, layer, t.leaf(h), attention_layout(np.zeros((n, n))))
         np.testing.assert_allclose(out.values, h, atol=1e-15)
 
     def test_duplicate_heads_repeat_output(self):
@@ -249,13 +251,13 @@ class TestGatForward:
         n, f, fp = 5, 3, 2
         w = rng.standard_normal((f, fp))
         a = rng.standard_normal((2 * fp, 1))
-        adj = random_adjacency(n, rng)
+        layout = attention_layout(random_adjacency(n, rng))
         h = rng.standard_normal((n, f))
         single = GatLayer(weight=w, att=a)
         double = GatLayer(weight=np.hstack([w, w]), att=np.hstack([a, a]))
         t = Tape()
-        one = gat_forward(t, single, t.leaf(h), adj).values
-        two = gat_forward(t, double, t.leaf(h), adj).values
+        one = gat_forward(t, single, t.leaf(h), layout).values
+        two = gat_forward(t, double, t.leaf(h), layout).values
         np.testing.assert_allclose(two, np.hstack([one, one]), atol=1e-15)
 
     def test_matches_matmul_oracle(self):
@@ -266,7 +268,7 @@ class TestGatForward:
             h = rng.standard_normal((n, 3))
             layer = GatLayer.create(3, 2, heads=2, rng=rng)
             t = Tape()
-            out = gat_forward(t, layer, t.leaf(h), adj)
+            out = gat_forward(t, layer, t.leaf(h), attention_layout(adj))
             pieces = []
             for k in range(2):
                 w, a = gat_head(layer, k)
@@ -287,14 +289,14 @@ class TestGatForward:
     @pytest.mark.parametrize("concat", [True, False])
     def test_layer_nodes_independent_of_heads(self, concat):
         rng = rng_for(9)
-        adj = random_adjacency(6, rng)
+        layout = attention_layout(random_adjacency(6, rng))
         h = rng.standard_normal((6, 4))
         recorded = []
         for heads in (1, 2, 3, 4):
             layer = GatLayer.create(4, 2, heads, rng, concat=concat)
             t = Tape()
             x = t.leaf(h)
-            gat_forward(t, layer, x, adj)
+            gat_forward(t, layer, x, layout)
             recorded.append(len(t) - 1)  # the input leaf is not the layer's
         # two parameter leaves, the projection and the attention; the mean
         # adds the averaging leaf and its matmul. The head, not the layer,
@@ -317,8 +319,66 @@ class TestGatForward:
         rng = rng_for(8)
         layer = GatLayer.create(6, 2, heads=4, rng=rng, concat=False)
         t = Tape()
-        out = gat_forward(t, layer, t.leaf(rng.standard_normal((5, 6))), random_adjacency(5, rng))
+        h = t.leaf(rng.standard_normal((5, 6)))
+        out = gat_forward(t, layer, h, attention_layout(random_adjacency(5, rng)))
         assert out.shape == (5, 2)
+
+
+class TestEdgeLayout:
+    def test_fully_masked_row_fails_when_built(self):
+        # the first fully masked row is named, wherever it sits
+        mask = np.ones((30, 30))
+        mask[[13, 20]] = 0.0
+        with pytest.raises(ConfigError, match="row 13 fully masked"):
+            EdgeLayout.from_mask(mask)
+        with pytest.raises(DimensionError):
+            EdgeLayout.from_mask(np.ones((3, 4)))
+
+    def test_layout_rejects_features_of_another_size(self):
+        rng = rng_for(60)
+        layer = GatLayer.create(4, 2, 3, rng)
+        layout = attention_layout(random_adjacency(5, rng))
+        t = Tape()
+        with pytest.raises(DimensionError, match="layout of 5 nodes for 6"):
+            gat_forward(t, layer, t.leaf(rng.standard_normal((6, 4))), layout)
+
+    def test_lists_neighbours_plus_self_row_by_row(self):
+        rng = rng_for(61)
+        adj = ego_net(50, 0.13, rng)
+        layout = attention_layout(adj)
+        rows, cols = np.nonzero(adj + np.eye(50))
+        np.testing.assert_array_equal(layout.rows, rows)
+        np.testing.assert_array_equal(layout.cols, cols)
+        np.testing.assert_array_equal(layout.flat, rows * 50 + cols)
+        np.testing.assert_array_equal(layout.counts, np.count_nonzero(adj, axis=1) + 1)
+        np.testing.assert_array_equal(layout.starts, np.searchsorted(rows, np.arange(50)))
+        # compact: one entry per edge or per node, never the n x n square
+        assert all(a.ndim == 1 and a.size in (rows.size, 50) for a in layout)
+
+    def test_one_layout_shared_by_the_head_matches_one_per_layer(self):
+        rng = rng_for(62)
+        n = 30
+        adj = ego_net(n, 0.2, rng)
+        net = build_prediction_net("gat", 12, hidden=16, heads=4, dropout=0.0, rng=rng)
+        h = rng.standard_normal((n, 12))
+        shared = attention_layout(adj)
+        before = [a.copy() for a in shared]
+
+        def run(layout_of):
+            t = Tape()
+            x = t.leaf(h)
+            for i, layer in enumerate(net.layers):
+                x = gat_forward(t, layer, t.elu(x) if i else x, layout_of())
+            t.backward(t.sum(t.slice_rows(x, 0, 1)))
+            return x.values, [t.grad(v) for v in net.parameters().values()]
+
+        got, got_grads = run(lambda: shared)
+        want, want_grads = run(lambda: attention_layout(adj))
+        np.testing.assert_array_equal(got, want)
+        for g, w in zip(got_grads, want_grads):
+            np.testing.assert_array_equal(g, w)
+        for a, b in zip(shared, before):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestHeadOracle:
@@ -336,7 +396,9 @@ class TestHeadOracle:
         adj = ego_net(n, 0.15, rng)
         h = rng.standard_normal((n, f_in))
         t = Tape()
-        got = prediction_forward(t, net, t.leaf(h), adj, t.leaf(normalized_adjacency(adj)))
+        got = prediction_forward(
+            t, net, t.leaf(h), attention_layout(adj), t.leaf(normalized_adjacency(adj))
+        )
         l1, l2, l3 = net.layers
         x = oracle_elu(oracle_layer(l1, h, adj))
         x = oracle_elu(oracle_layer(l2, x, adj))
@@ -385,7 +447,7 @@ class TestPermutationEquivariance:
             def loss_for(a, f, e):
                 t = Tape()
                 logits = prediction_forward(
-                    t, net, t.leaf(f), a, t.leaf(normalized_adjacency(a)), None
+                    t, net, t.leaf(f), attention_layout(a), t.leaf(normalized_adjacency(a)), None
                 )
                 return ego_nll(t, logits, e, label).values[0, 0]
 
@@ -403,7 +465,7 @@ class TestEndToEndGradients:
         rng = rng_for(40)
         n = 5
         adj = random_adjacency(n, rng)
-        a_hat = normalized_adjacency(adj)
+        layout, a_hat = attention_layout(adj), normalized_adjacency(adj)
         feats = rng.standard_normal((n, 3))
         for variant in ("gat", "gcn"):
             net = build_prediction_net(variant, 3, hidden=4, heads=2, dropout=0.0, rng=rng)
@@ -413,7 +475,7 @@ class TestEndToEndGradients:
                 for name in live:
                     live[name][...] = params[name]
                 t = Tape()
-                logits = prediction_forward(t, net, t.leaf(feats), adj, t.leaf(a_hat), None)
+                logits = prediction_forward(t, net, t.leaf(feats), layout, t.leaf(a_hat), None)
                 loss = ego_nll(t, logits, 1, 1)
                 t.backward(loss)
                 return float(loss.values[0, 0]), {k: t.grad(v) for k, v in live.items()}

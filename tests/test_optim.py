@@ -43,7 +43,7 @@ def test_weight_decay_folds_into_gradient():
 def test_accumulators_never_decrease():
     rng = np.random.default_rng(0)
     p = rng.standard_normal((3, 3))
-    opt = Adagrad({"p": p}, lr=0.05, weight_decay=1e-3)
+    opt = Adagrad({"p": p}, lr=0.05, weight_decay=1e-3, eps=1e-10)
     prev = opt.acc["p"].copy()
     for _ in range(25):
         opt.step({"p": rng.standard_normal((3, 3))})
@@ -52,6 +52,6 @@ def test_accumulators_never_decrease():
 
 
 def test_shape_mismatch_rejected():
-    opt = Adagrad({"p": np.zeros((2, 2))}, lr=0.1)
+    opt = Adagrad({"p": np.zeros((2, 2))}, lr=0.1, eps=1e-10)
     with pytest.raises(DimensionError):
         opt.step({"p": np.zeros((3, 2))})

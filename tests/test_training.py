@@ -1,10 +1,12 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from egoinf.ablation import run_arm
-from egoinf.augment import AugmentationConfig, generate_augmentations
+from egoinf.augment import AugmentationConfig, edge_probabilities, generate_augmentations
+from egoinf.autodiff import Tape
 from egoinf.cascade import CascadeConfig, generate_dataset
 from egoinf.errors import ConfigError
 from egoinf.features import DeepWalkConfig, FeatureStore
@@ -14,12 +16,16 @@ from egoinf.training import (
     JointModel,
     ModelConfig,
     TrainConfig,
+    augmented_copies,
     average_class1,
+    frozen_encode,
     predict,
     pretrain_augmenter,
     run_config_with_seed,
     train_joint,
 )
+
+from .oracles import recording_edge_probabilities, recording_frozen_encode, recording_predict
 
 TINY_DW = DeepWalkConfig(dim=6, walks_per_node=2, walk_length=10, window=2, negatives=2, epochs=1)
 TINY_MODEL = ModelConfig(variant="gat", hidden=8, heads=2, embed_dim=4, gae_hidden=6)
@@ -125,6 +131,20 @@ class TestTrainJoint:
         with pytest.raises(ConfigError):
             train_joint(model, [], cfg, AblationConfig.from_arm(1), store=FeatureStore(0, TINY_DW))
 
+    def test_adagrad_eps_reaches_both_pretrainings(self):
+        train = DATASET.split_samples("train")
+        weights = []
+        for eps in (1e-10, 0.1):
+            cfg = run_config_with_seed(tiny_config(epochs=1, adagrad_eps=eps), 7)
+            store = FeatureStore(7, cfg.deepwalk)
+            vgae = pretrain_augmenter(train, cfg, store, 7)
+            model = JointModel.create(cfg, feature_width=2 + cfg.deepwalk.dim, seed=7)
+            train_joint(model, train, cfg, AblationConfig.from_arm(1), store=store)
+            weights.append((vgae.w0.copy(), model.gae.w0.copy()))
+        (vgae_a, gae_a), (vgae_b, gae_b) = weights
+        assert not np.array_equal(vgae_a, vgae_b)  # the augmenter
+        assert not np.array_equal(gae_a, gae_b)  # the frozen GAE branch
+
     def test_divergence_names_epoch_and_sample(self):
         from egoinf.errors import DivergenceError
 
@@ -188,6 +208,48 @@ class TestPredict:
         variants = [s] + generate_augmentations(s, vgae, cfg.aug, features=fb.encoder_input)
         manual = np.mean([predict(model, v, plain, None, cfg, store) for v in variants])
         assert predict(model, s, abl, vgae, cfg, store) == pytest.approx(manual, abs=1e-15)
+
+    def test_inference_matches_a_recording_tape_bit_for_bit(self):
+        model, cfg, abl, vgae, store = self.setup_trained(arm=8, count=3)
+        added = 0
+        for s in DATASET.split_samples("test"):
+            fb = store.bundle(s)
+            assert predict(model, s, abl, vgae, cfg, store) == recording_predict(
+                model, s, abl, vgae, cfg, store
+            )
+            np.testing.assert_array_equal(
+                frozen_encode(model.gae, fb), recording_frozen_encode(model.gae, fb)
+            )
+            np.testing.assert_array_equal(
+                edge_probabilities(s, vgae, fb.encoder_input),
+                recording_edge_probabilities(s, vgae, fb.encoder_input),
+            )
+            added += sum(c.graph.num_edges - s.graph.num_edges
+                         for c in augmented_copies(s, vgae, cfg.aug, store))
+        assert added > 0  # the test-time copies differ from their samples
+
+    def test_inference_builds_only_no_grad_tapes(self, monkeypatch):
+        # a guard: putting recording tapes back on an inference path, or a
+        # no-grad tape on a training step, fails here
+        model, cfg, abl, vgae, store = self.setup_trained(arm=8, count=2)
+        s = DATASET.split_samples("test")[0]
+        fb = store.bundle(s)
+        built = []
+        init = Tape.__init__
+
+        def spy(tape, *args, **kwargs):
+            init(tape, *args, **kwargs)
+            built.append(tape.grad_enabled)
+
+        monkeypatch.setattr(Tape, "__init__", spy)
+        predict(model, s, abl, vgae, cfg, store)
+        frozen_encode(model.gae, fb)
+        edge_probabilities(s, vgae, fb.encoder_input)
+        assert len(built) >= 3 and not any(built)
+        built.clear()
+        train = DATASET.split_samples("train")
+        train_joint(model, train, replace(cfg, epochs=1), AblationConfig.from_arm(2), store=store)
+        assert len(built) == len(train) and all(built)
 
     def test_tta_without_augmenter_rejected(self):
         model, cfg, _, _, store = self.setup_trained(arm=1, count=2)
