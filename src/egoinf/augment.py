@@ -14,8 +14,8 @@ import numpy as np
 from .autodiff import Tape
 from .autoenc import VgaeModel, inner_product_decode, vgae_encode
 from .errors import ConfigError
+from .features import FeatureBundle
 from .graphs import EgoSample, UndirectedGraph
-from .layers import normalized_adjacency
 from .rng import check_seed, stream
 
 
@@ -33,27 +33,17 @@ class AugmentationConfig:
         check_seed(self.seed, "augmentation seed")
 
 
-def edge_probabilities(
-    sample: EgoSample,
-    vgae: VgaeModel,
-    features: np.ndarray | None = None,
-) -> np.ndarray:
+def edge_probabilities(vgae: VgaeModel, fb: FeatureBundle) -> np.ndarray:
     """Decode deterministic (eval mode, Z = mean) edge probabilities for one
-    sample: a read-only symmetric n x n array, entries in (0, 1), diagonal
-    unused. features=None falls back to one-hot rows, which requires the
-    model to have been trained on width-n inputs."""
-    n = sample.n
-    x = np.eye(n) if features is None else np.asarray(features, dtype=np.float64)
-    if x.shape[0] != n:
-        raise ConfigError(f"features have {x.shape[0]} rows for an {n}-node sample")
-    if x.shape[1] != vgae.in_width:
+    sample's bundle: a read-only symmetric n x n array, entries in (0, 1),
+    diagonal unused."""
+    if fb.width != vgae.in_width:
         raise ConfigError(
-            f"feature width {x.shape[1]} does not match the checkpoint's "
+            f"feature width {fb.width} does not match the checkpoint's "
             f"expected width {vgae.in_width}"
         )
     tape = Tape(grad=False)
-    a_hat = normalized_adjacency(sample.graph.adjacency)
-    z, _, _ = vgae_encode(tape, vgae, tape.leaf(x), tape.leaf(a_hat))
+    z, _, _ = vgae_encode(tape, vgae, tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat))
     probs = inner_product_decode(tape, z).values
     probs.flags.writeable = False
     return probs
@@ -95,21 +85,22 @@ def sample_augmentation(
         if u[i, j] < probs[i, j]:
             adj[i, j] = 1
             adj[j, i] = 1
-    return UndirectedGraph(adj, graph.node_ids)
+    return UndirectedGraph(adj)
 
 
 def generate_augmentations(
     sample: EgoSample,
     vgae: VgaeModel,
     cfg: AugmentationConfig,
-    features: np.ndarray | None = None,
+    fb: FeatureBundle,
 ) -> list[EgoSample]:
-    """Q independent augmented copies, copy k named ``<id>#a<k>``; copy k
-    draws from the stream keyed by (master seed, sample id, k), so results
-    do not depend on call order."""
+    """Q independent augmented copies of the sample, decoded from its
+    bundle, copy k named ``<id>#a<k>``; copy k draws from the stream keyed
+    by (master seed, sample id, k), so results do not depend on call
+    order."""
     if cfg.count == 0:
         return []
-    probs = edge_probabilities(sample, vgae, features=features)
+    probs = edge_probabilities(vgae, fb)
     candidates = candidate_edges(probs, sample.graph.adjacency, cfg.threshold)
     out = []
     for k in range(cfg.count):

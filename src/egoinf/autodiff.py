@@ -234,23 +234,6 @@ class Tape:
 
         return self._record(a.values[:, start:stop].copy(), (a,), bw)
 
-    def sum(self, a: Tensor) -> Tensor:
-        shape = a.shape
-
-        def bw(g):
-            return (np.full(shape, g[0, 0]),)
-
-        return self._record(a.values.sum().reshape(1, 1), (a,), bw)
-
-    def mean(self, a: Tensor) -> Tensor:
-        shape = a.shape
-        size = a.values.size
-
-        def bw(g):
-            return (np.full(shape, g[0, 0] / size),)
-
-        return self._record(a.values.mean().reshape(1, 1), (a,), bw)
-
     def sigmoid(self, a: Tensor) -> Tensor:
         y = _sigmoid(a.values)
         return self._record(y, (a,), lambda g: (g * y * (1.0 - y),))

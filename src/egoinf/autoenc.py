@@ -13,7 +13,8 @@ import numpy as np
 
 from .autodiff import Tape, Tensor
 from .errors import ConfigError
-from .layers import glorot, normalized_adjacency
+from .features import FeatureBundle
+from .layers import glorot
 from .optim import Adagrad, mean_gradient_step
 from .rng import stream
 
@@ -99,15 +100,10 @@ def inner_product_decode(tape: Tape, z: Tensor) -> Tensor:
     return tape.sigmoid(s)
 
 
-def reconstruction_ce(
-    tape: Tape,
-    m: Tensor,
-    a_target: np.ndarray,
-    pos_weight: float | None = None,
-) -> Tensor:
+def reconstruction_ce(tape: Tape, m: Tensor, a_target: np.ndarray) -> Tensor:
     """Mean binary cross-entropy between decoded probabilities and the
     adjacency over all off-diagonal entries, positives up-weighted by
-    pos_weight (default: #off-diagonal zeros / #off-diagonal ones)."""
+    pos_weight = #off-diagonal zeros / #off-diagonal ones."""
     target = np.asarray(a_target, dtype=np.float64)
     n = target.shape[0]
     if target.shape != (n, n) or m.shape != (n, n):
@@ -115,13 +111,9 @@ def reconstruction_ce(
     mask = 1.0 - np.eye(n)
     ones = float((target * mask).sum())
     zeros = float(mask.sum() - ones)
-    if pos_weight is None:
-        if ones == 0:
-            raise ConfigError(
-                "reconstruction_ce: target has no positive entries; pos_weight undefined"
-            )
-        pos_weight = zeros / ones
-    weights = np.where(target > 0, pos_weight, 1.0)
+    if ones == 0:
+        raise ConfigError("reconstruction_ce: target has no positive entries; pos_weight undefined")
+    weights = np.where(target > 0, zeros / ones, 1.0)
     return tape.bce_mean(m, target, weights, mask)
 
 
@@ -133,25 +125,14 @@ class AutoencTrainConfig:
     seed: int
 
 
-def _prepare_graphs(data) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Normalize (features, adjacency) pairs; features None -> one-hot rows."""
-    prepared = []
-    for x, adj in data:
-        adj = np.asarray(adj, dtype=np.float64)
-        if x is None:
-            x = np.eye(adj.shape[0])
-        prepared.append((np.asarray(x, dtype=np.float64), adj, normalized_adjacency(adj)))
-    return prepared
-
-
-def _fit(model, graphs, cfg: AutoencTrainConfig, name: str, loss_of):
-    """Full-batch Adagrad over the prepared graphs, one step per epoch.
-    loss_of(tape, (index, graph)) returns the loss node and its parts by
+def _fit(model, bundles: list[FeatureBundle], cfg: AutoencTrainConfig, name: str, loss_of):
+    """Full-batch Adagrad over the graphs' bundles, one step per epoch.
+    loss_of(tape, (index, bundle)) returns the loss node and its parts by
     name; each trace row holds the parts' means over the graphs and their
     sum as total."""
-    if not graphs:
+    if not bundles:
         raise ConfigError(f"train_{name.lower()}: empty dataset")
-    items = list(enumerate(graphs))
+    items = list(enumerate(bundles))
     opt = Adagrad(model.parameters(), lr=cfg.lr, eps=cfg.adagrad_eps)
 
     def diverged(_, exc):
@@ -164,42 +145,41 @@ def _fit(model, graphs, cfg: AutoencTrainConfig, name: str, loss_of):
             for key, value in record.items():
                 sums[key] = sums.get(key, 0.0) + value
         sums["total"] = sum(sums.values())
-        trace.append({key: value / len(graphs) for key, value in sums.items()})
+        trace.append({key: value / len(bundles) for key, value in sums.items()})
     return model, trace
 
 
-def train_vgae(model: VgaeModel, data, cfg: AutoencTrainConfig):
-    """Fit the VGAE on (features, adjacency) pairs with the reconstruction
-    plus KL loss. Returns (model, trace) where trace has one dict per epoch
-    with keys ce, kld, total."""
-    graphs = _prepare_graphs(data)
+def train_vgae(model: VgaeModel, bundles: list[FeatureBundle], cfg: AutoencTrainConfig):
+    """Fit the VGAE on the graphs' bundles with the reconstruction plus KL
+    loss. Returns (model, trace) where trace has one dict per epoch with
+    keys ce, kld, total."""
     # one fixed noise draw per graph, made once: traces are reproducible and
     # a frozen model yields a frozen loss trace
     noise = [
-        stream(cfg.seed, "vgae-eps", gi).standard_normal((adj.shape[0], model.d))
-        for gi, (_, adj, _) in enumerate(graphs)
+        stream(cfg.seed, "vgae-eps", gi).standard_normal((fb.n, model.d))
+        for gi, fb in enumerate(bundles)
     ]
 
     def loss_of(tape, item):
-        gi, (x, adj, a_hat) = item
+        gi, fb = item
         z, mu, logvar = vgae_encode(
-            tape, model, tape.leaf(x), tape.leaf(a_hat), noise=noise[gi]
+            tape, model, tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat), noise=noise[gi]
         )
-        ce = reconstruction_ce(tape, inner_product_decode(tape, z), adj)
+        ce = reconstruction_ce(tape, inner_product_decode(tape, z), fb.adjacency)
         kl = tape.gaussian_kl(mu, logvar)
         return tape.add(ce, kl), {"ce": float(ce.values[0, 0]), "kld": float(kl.values[0, 0])}
 
-    return _fit(model, graphs, cfg, "VGAE", loss_of)
+    return _fit(model, bundles, cfg, "VGAE", loss_of)
 
 
-def train_gae(model: GaeModel, data, cfg: AutoencTrainConfig):
-    """Fit a plain GAE with the reconstruction loss only. Trace rows have
-    keys ce and total."""
+def train_gae(model: GaeModel, bundles: list[FeatureBundle], cfg: AutoencTrainConfig):
+    """Fit a plain GAE on the graphs' bundles with the reconstruction loss
+    only. Trace rows have keys ce and total."""
 
     def loss_of(tape, item):
-        _, (x, adj, a_hat) = item
-        z = gae_encode(tape, model, tape.leaf(x), tape.leaf(a_hat))
-        ce = reconstruction_ce(tape, inner_product_decode(tape, z), adj)
+        _, fb = item
+        z = gae_encode(tape, model, tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat))
+        ce = reconstruction_ce(tape, inner_product_decode(tape, z), fb.adjacency)
         return ce, {"ce": float(ce.values[0, 0])}
 
-    return _fit(model, _prepare_graphs(data), cfg, "GAE", loss_of)
+    return _fit(model, bundles, cfg, "GAE", loss_of)

@@ -1,10 +1,11 @@
-"""Per-sample node features: action status, ego indicator, walk embeddings.
+"""Per-sample node features and the one input every encoder reads.
 
-The prediction head consumes [Z | influence | deepwalk] per node, where Z
-comes from the autoencoder branch at forward time. Everything else here is
-static per sample, built once when its bundle is and cached by sample id:
-the encoder input, the normalized adjacency and the attention mask's edge
-layout, which every GAT layer and every forward of the sample reads.
+A FeatureBundle holds a sample's encoder input, [influence | deepwalk]
+(action status, ego indicator, walk embeddings), and its adjacency; it
+derives the normalized adjacency and the attention mask's edge layout once.
+The VGAE augmenter, the GAE branch and every GAT layer of the head read
+that one bundle; the head consumes [Z | encoder input], Z from the branch
+at forward time. Bundles are cached by sample id and adjacency.
 """
 from __future__ import annotations
 
@@ -29,28 +30,26 @@ def influence_features(s: EgoSample) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureBundle:
-    """Static per-sample tensors shared by the encoder and the head. The
-    encoder input and the attention layout are derived from the other
-    fields once, when the bundle is built."""
+    """The one input of every encoder: per-node features and the 0/1
+    adjacency. The normalized adjacency and the attention layout are
+    derived from the adjacency once, when the bundle is built."""
 
-    influence: np.ndarray  # n x 2
-    deepwalk: np.ndarray  # n x d_w
-    adjacency: np.ndarray  # n x n float 0/1
-    a_hat: np.ndarray  # normalized adjacency
+    encoder_input: np.ndarray  # n x width, [influence | deepwalk]
+    adjacency: np.ndarray  # n x n 0/1
+    a_hat: np.ndarray = field(init=False, repr=False)  # normalized adjacency
     layout: EdgeLayout = field(init=False, repr=False)  # adjacency + self-loops
-    encoder_input: np.ndarray = field(init=False, repr=False)  # [influence | deepwalk]
 
     def __post_init__(self):
+        object.__setattr__(self, "a_hat", normalized_adjacency(self.adjacency))
         object.__setattr__(self, "layout", attention_layout(self.adjacency))
-        object.__setattr__(self, "encoder_input", np.hstack([self.influence, self.deepwalk]))
 
     @property
     def n(self) -> int:
-        return self.influence.shape[0]
+        return self.adjacency.shape[0]
 
     @property
     def width(self) -> int:
-        return 2 + self.deepwalk.shape[1]
+        return self.encoder_input.shape[1]
 
 
 def feature_width(dw: DeepWalkConfig) -> int:
@@ -80,12 +79,8 @@ class FeatureStore:
         if hit is not None:
             return hit
         emb = deepwalk_embed(s.graph, self.dw, stream(self.seed, "deepwalk", s.sample_id))
-        adj = s.graph.adjacency.astype(np.float64)
         fb = FeatureBundle(
-            influence=influence_features(s),
-            deepwalk=emb,
-            adjacency=adj,
-            a_hat=normalized_adjacency(adj),
+            np.hstack([influence_features(s), emb]), s.graph.adjacency.astype(np.float64)
         )
         self._cache[key] = fb
         return fb

@@ -36,7 +36,6 @@ class UndirectedGraph:
     """0/1 symmetric adjacency with a zero diagonal."""
 
     adjacency: np.ndarray
-    node_ids: tuple[int, ...] | None = None
 
     def __post_init__(self):
         adj = np.asarray(self.adjacency, dtype=np.int8)
@@ -64,12 +63,12 @@ class UndirectedGraph:
         return list(zip(i.tolist(), j.tolist()))
 
     @classmethod
-    def from_edges(cls, n: int, edges, node_ids=None) -> "UndirectedGraph":
+    def from_edges(cls, n: int, edges) -> "UndirectedGraph":
         adj = np.zeros((n, n), dtype=np.int8)
         for i, j in edges:
             adj[i, j] = 1
             adj[j, i] = 1
-        return cls(adj, tuple(node_ids) if node_ids is not None else None)
+        return cls(adj)
 
 
 @dataclass(frozen=True)

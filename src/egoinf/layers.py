@@ -22,7 +22,7 @@ read that one layout.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -169,8 +169,8 @@ class PredictionNet:
     """Stack of GNN layers ending in a 2-unit (two-class) output row per
     node."""
 
-    layers: list = field(default_factory=list)
-    dropout: float = 0.2
+    layers: list
+    dropout: float
 
     def parameters(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}

@@ -54,10 +54,8 @@ def rwr_sample(
         visited.add(current)
     ids = sorted(visited)
     sub_adj = g.adjacency[np.ix_(ids, ids)]
-    orig_ids = g.node_ids
-    node_ids = tuple(orig_ids[i] for i in ids) if orig_ids is not None else tuple(ids)
     return SampledSubgraph(
-        graph=UndirectedGraph(sub_adj, node_ids),
+        graph=UndirectedGraph(sub_adj),
         ego=ids.index(ego),
         node_ids=tuple(ids),
         truncated=len(visited) < n_target,

@@ -158,7 +158,7 @@ def frozen_encode(gae: GaeModel, fb: FeatureBundle) -> np.ndarray:
 
 
 def _forward_logits(tape, model, fb, z, drop_rng):
-    h0 = tape.concat_cols([z, tape.leaf(fb.influence), tape.leaf(fb.deepwalk)])
+    h0 = tape.concat_cols([z, tape.leaf(fb.encoder_input)])
     return prediction_forward(tape, model.head, h0, fb.layout, tape.leaf(fb.a_hat), drop_rng)
 
 
@@ -190,11 +190,11 @@ def sample_loss(
 def augmented_copies(
     sample: EgoSample, vgae: VgaeModel | None, aug: AugmentationConfig, store: FeatureStore
 ) -> list[EgoSample]:
-    """The sample's augmented copies under ``aug``, decoded from its
-    encoder input in the store."""
+    """The sample's augmented copies under ``aug``, decoded from its bundle
+    in the store."""
     if vgae is None:
         raise ConfigError("augmentation requires a trained augmenter model")
-    return generate_augmentations(sample, vgae, aug, features=store.bundle(sample).encoder_input)
+    return generate_augmentations(sample, vgae, aug, store.bundle(sample))
 
 
 def train_joint(
@@ -295,14 +295,13 @@ def predict(
 def _pretrain(fit, model, samples, cfg: TrainConfig, store, seed: int, name: str):
     """Fit an autoencoder on the samples' graphs with the run's pretraining
     settings and the seed keyed '<name>-pretrain'."""
-    data = [(fb.encoder_input, fb.adjacency) for fb in map(store.bundle, samples)]
     pre = AutoencTrainConfig(
         epochs=cfg.pretrain_epochs,
         lr=cfg.pretrain_lr,
         adagrad_eps=cfg.adagrad_eps,
         seed=derive_seed(seed, f"{name}-pretrain"),
     )
-    return fit(model, data, pre)
+    return fit(model, [store.bundle(s) for s in samples], pre)
 
 
 def pretrain_augmenter(

@@ -18,6 +18,13 @@ def random_adjacency(n, rng, p=0.4):
     return a + a.T
 
 
+def one_hot_bundle(adj):
+    """The graph's feature bundle with one-hot rows as its node features."""
+    from egoinf.features import FeatureBundle
+
+    return FeatureBundle(np.eye(adj.shape[0]), adj)
+
+
 def oracle_normalized_adjacency(a):
     n = a.shape[0]
     at = a + np.eye(n)
@@ -109,6 +116,23 @@ def leaky_relu(tape, a, slope):
     pos = a.values > 0
     y = np.where(pos, a.values, slope * a.values)
     return tape._record(y, (a,), lambda g: (g * np.where(pos, 1.0, slope),))
+
+
+def tape_sum(tape, a):
+    """Sum of every entry of a, as a 1x1 node on tape: a scalar loss for
+    the gradient tests."""
+    shape = a.shape
+    return tape._record(
+        a.values.sum().reshape(1, 1), (a,), lambda g: (np.full(shape, g[0, 0]),)
+    )
+
+
+def tape_mean(tape, a):
+    """Mean of every entry of a, as a 1x1 node on tape."""
+    shape, size = a.shape, a.values.size
+    return tape._record(
+        a.values.mean().reshape(1, 1), (a,), lambda g: (np.full(shape, g[0, 0] / size),)
+    )
 
 
 def oracle_gat_chain(tape, layer, h, adj, slope=0.2):
@@ -364,10 +388,8 @@ def oracle_rwr_sample(g, ego, n_target, restart_p, rng):
         visited.add(current)
     ids = sorted(visited)
     sub_adj = adj[np.ix_(ids, ids)]
-    orig_ids = g.node_ids
-    node_ids = tuple(orig_ids[i] for i in ids) if orig_ids is not None else tuple(ids)
     return SampledSubgraph(
-        graph=UndirectedGraph(sub_adj, node_ids),
+        graph=UndirectedGraph(sub_adj),
         ego=ids.index(ego),
         node_ids=tuple(ids),
         truncated=len(visited) < n_target,
@@ -439,15 +461,13 @@ def recording_frozen_encode(gae, fb):
     return gae_encode(tape, gae, tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat)).values
 
 
-def recording_edge_probabilities(sample, vgae, features):
+def recording_edge_probabilities(vgae, fb):
     """``augment.edge_probabilities`` on a recording tape."""
     from egoinf.autodiff import Tape
     from egoinf.autoenc import inner_product_decode, vgae_encode
-    from egoinf.layers import normalized_adjacency
 
     tape = Tape()
-    a_hat = normalized_adjacency(sample.graph.adjacency)
-    z, _, _ = vgae_encode(tape, vgae, tape.leaf(features), tape.leaf(a_hat))
+    z, _, _ = vgae_encode(tape, vgae, tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat))
     return inner_product_decode(tape, z).values
 
 
@@ -467,7 +487,7 @@ def recording_predict(model, sample, abl, vgae, cfg, store):
         fb = store.bundle(v)
         tape = Tape()
         z = gae_encode(tape, model.gae, tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat))
-        h0 = tape.concat_cols([z, tape.leaf(fb.influence), tape.leaf(fb.deepwalk)])
+        h0 = tape.concat_cols([z, tape.leaf(fb.encoder_input)])
         logits = prediction_forward(tape, model.head, h0, fb.layout, tape.leaf(fb.a_hat))
         probs.append(softmax_row(logits.values, v.ego)[1])
     return float(np.mean(probs))

@@ -64,7 +64,9 @@ from .oracles import (
     oracle_gcn,
     oracle_normalized_adjacency,
     oracle_sigmoid,
+    one_hot_bundle,
     random_adjacency,
+    tape_mean,
     toy_two_cluster_graph,
 )
 
@@ -128,7 +130,7 @@ def _fd_case_gcn(rng):
             live[k][...] = params[k]
         t = Tape()
         out = t.elu(gcn_forward(t, layer, t.leaf(h), t.leaf(a_hat)))
-        loss = t.mean(out)
+        loss = tape_mean(t, out)
         t.backward(loss)
         return float(loss.values[0, 0]), {k: t.grad(v) for k, v in live.items()}
 
@@ -147,7 +149,7 @@ def _fd_case_gat(rng, heads):
             live[k][...] = params[k]
         t = Tape()
         out = t.elu(gat_forward(t, layer, t.leaf(h), layout))
-        loss = t.mean(out)
+        loss = tape_mean(t, out)
         t.backward(loss)
         return float(loss.values[0, 0]), {k: t.grad(v) for k, v in live.items()}
 
@@ -217,12 +219,7 @@ def _fd_case_joint(rng):
         label=int(rng.integers(2)),
         sample_id="fd",
     )
-    fb = FeatureBundle(
-        influence=influence_features(sample),
-        deepwalk=dw,
-        adjacency=adj,
-        a_hat=normalized_adjacency(adj),
-    )
+    fb = FeatureBundle(np.hstack([influence_features(sample), dw]), adj)
     gae = GaeModel.create(4, 3, 2, rng)
     head = build_prediction_net("gat", 2 + 4, hidden=4, heads=2, dropout=0.0, rng=rng)
     model = JointModel(gae=gae, head=head)
@@ -313,7 +310,7 @@ def test_c3_vgae_learning():
     adj = toy_two_cluster_graph()
     model = VgaeModel.create(20, 16, 8, np.random.default_rng(0))
     pre = AutoencTrainConfig(epochs=200, lr=0.1, adagrad_eps=1e-10, seed=0)
-    _, trace = train_vgae(model, [(None, adj)], pre)
+    _, trace = train_vgae(model, [one_hot_bundle(adj)], pre)
     drop = 1.0 - trace[-1]["ce"] / trace[0]["ce"]
     kld_ok = all(row["kld"] >= 0.0 for row in trace)
     elapsed = time.time() - t0
@@ -337,7 +334,8 @@ def test_c4_augmentation_properties():
         sample_id="acc4",
     )
     vgae = VgaeModel.create(n, 6, 4, rng)
-    m = edge_probabilities(sample, vgae)
+    fb = one_hot_bundle(adj)
+    m = edge_probabilities(vgae, fb)
     threshold = 0.5
     cands = candidate_edges(m, sample.graph.adjacency, threshold)
     assert cands, "acceptance case needs a nonempty candidate set"
@@ -351,7 +349,7 @@ def test_c4_augmentation_properties():
     trials = 1000
     for k in range(trials):
         cfg = AugmentationConfig(threshold=threshold, count=1, seed=k)
-        (aug,) = generate_augmentations(sample, vgae, cfg)
+        (aug,) = generate_augmentations(sample, vgae, cfg, fb)
         diff = aug.graph.adjacency.astype(int) - sample.graph.adjacency.astype(int)
         superset_ok &= bool((diff >= 0).all())
         for i, j in zip(*np.nonzero(np.triu(diff, 1))):
@@ -367,7 +365,7 @@ def test_c4_augmentation_properties():
         cfg = AugmentationConfig(threshold=t_val, count=4, seed=77)
         added = sum(
             a.graph.num_edges - base_edges
-            for a in generate_augmentations(sample, vgae, cfg)
+            for a in generate_augmentations(sample, vgae, cfg, fb)
         )
         pcts.append(added / (4 * base_edges) * 100.0)
     monotone_ok = all(a >= b for a, b in zip(pcts, pcts[1:]))

@@ -12,8 +12,11 @@ from egoinf.augment import (
 )
 from egoinf.autoenc import VgaeModel
 from egoinf.errors import ConfigError
+from egoinf.features import FeatureBundle
 from egoinf.graphs import EgoSample, UndirectedGraph
 from egoinf.rng import stream
+
+from .oracles import one_hot_bundle
 
 
 def make_sample(adj, ego=0, sid="s0"):
@@ -41,7 +44,7 @@ class TestEdgeProbabilities:
     def test_zero_weights_give_half_everywhere(self):
         vgae = VgaeModel(w0=np.zeros((4, 3)), w1_mu=np.zeros((3, 2)), w1_logvar=np.zeros((3, 2)))
         s = random_sample(4, np.random.default_rng(0))
-        m = edge_probabilities(s, vgae)
+        m = edge_probabilities(vgae, one_hot_bundle(s.graph.adjacency))
         np.testing.assert_array_equal(m, np.full((4, 4), 0.5))
         assert not m.flags.writeable
 
@@ -49,8 +52,8 @@ class TestEdgeProbabilities:
         rng = np.random.default_rng(1)
         vgae = VgaeModel.create(5, 4, 2, rng)
         s = random_sample(5, rng)
-        m1 = edge_probabilities(s, vgae)
-        m2 = edge_probabilities(s, vgae)
+        m1 = edge_probabilities(vgae, one_hot_bundle(s.graph.adjacency))
+        m2 = edge_probabilities(vgae, one_hot_bundle(s.graph.adjacency))
         np.testing.assert_array_equal(m1, m2)
 
     def test_matches_sigmoid_of_mean_inner_product(self):
@@ -65,14 +68,14 @@ class TestEdgeProbabilities:
         a_hat = normalized_adjacency(s.graph.adjacency)
         _, mu, _ = vgae_encode(t, vgae, t.leaf(np.eye(6)), t.leaf(a_hat))
         expected = 1.0 / (1.0 + np.exp(-(mu.values @ mu.values.T)))
-        m = edge_probabilities(s, vgae)
+        m = edge_probabilities(vgae, one_hot_bundle(s.graph.adjacency))
         np.testing.assert_allclose(m, expected, atol=1e-12)
 
     def test_feature_width_mismatch(self):
         vgae = VgaeModel.create(9, 4, 2, np.random.default_rng(3))
         s = random_sample(5, np.random.default_rng(4))
         with pytest.raises(ConfigError, match="width"):
-            edge_probabilities(s, vgae, features=np.ones((5, 3)))
+            edge_probabilities(vgae, FeatureBundle(np.ones((5, 3)), s.graph.adjacency))
 
 
 class TestCandidateEdges:
@@ -140,40 +143,42 @@ class TestGenerateAugmentations:
     def vgae_and_sample(self, seed=0, n=8):
         rng = np.random.default_rng(seed)
         vgae = VgaeModel.create(n, 4, 3, rng)
-        return vgae, random_sample(n, rng, sid=f"g{seed}")
+        s = random_sample(n, rng, sid=f"g{seed}")
+        return vgae, s, one_hot_bundle(s.graph.adjacency)
 
     def test_count_zero_gives_empty_list(self):
-        vgae, s = self.vgae_and_sample()
-        assert generate_augmentations(s, vgae, AugmentationConfig(count=0)) == []
+        vgae, s, fb = self.vgae_and_sample()
+        assert generate_augmentations(s, vgae, AugmentationConfig(count=0), fb) == []
 
     def test_fixed_seed_reproduces_triple(self):
-        vgae, s = self.vgae_and_sample(1)
+        vgae, s, fb = self.vgae_and_sample(1)
         cfg = AugmentationConfig(threshold=0.4, count=3, seed=77)
-        runs = [generate_augmentations(s, vgae, cfg) for _ in range(2)]
+        runs = [generate_augmentations(s, vgae, cfg, fb) for _ in range(2)]
         for a, b in zip(*runs):
             np.testing.assert_array_equal(a.graph.adjacency, b.graph.adjacency)
             assert a.sample_id == b.sample_id
 
     def test_edge_superset_and_threshold_guarantee(self):
-        vgae, s = self.vgae_and_sample(2)
+        vgae, s, fb = self.vgae_and_sample(2)
         cfg = AugmentationConfig(threshold=0.5, count=5, seed=3)
-        m = edge_probabilities(s, vgae)
-        for aug in generate_augmentations(s, vgae, cfg):
+        m = edge_probabilities(vgae, fb)
+        for aug in generate_augmentations(s, vgae, cfg, fb):
             diff = aug.graph.adjacency.astype(int) - s.graph.adjacency.astype(int)
             assert (diff >= 0).all()  # superset, never removes
             for i, j in zip(*np.nonzero(np.triu(diff, 1))):
                 assert m[i, j] > cfg.threshold
 
     def test_metadata_fields_untouched(self):
-        vgae, s = self.vgae_and_sample(3)
-        for aug in generate_augmentations(s, vgae, AugmentationConfig(threshold=0.2, count=2)):
+        vgae, s, fb = self.vgae_and_sample(3)
+        cfg = AugmentationConfig(threshold=0.2, count=2)
+        for aug in generate_augmentations(s, vgae, cfg, fb):
             assert aug.ego == s.ego
             assert aug.label == s.label
             np.testing.assert_array_equal(aug.influence_state, s.influence_state)
 
     def test_mean_added_edge_count_matches_probability_mass(self):
-        vgae, s = self.vgae_and_sample(4)
-        m = edge_probabilities(s, vgae)
+        vgae, s, fb = self.vgae_and_sample(4)
+        m = edge_probabilities(vgae, fb)
         threshold = 0.5
         cands = candidate_edges(m, s.graph.adjacency, threshold)
         assert cands, "need a nonempty candidate set for this check"
@@ -184,7 +189,7 @@ class TestGenerateAugmentations:
         total_added = 0
         for k in range(trials):
             cfg = AugmentationConfig(threshold=threshold, count=1, seed=k)
-            (aug,) = generate_augmentations(s, vgae, cfg)
+            (aug,) = generate_augmentations(s, vgae, cfg, fb)
             total_added += aug.graph.num_edges - base_edges
         mean_added = total_added / trials
         stderr = np.sqrt(var / trials)
@@ -208,7 +213,7 @@ def test_augmented_samples_serialize_with_provenance(tmp_path):
     vgae = VgaeModel.create(6, 4, 2, rng)
     s = random_sample(6, rng, sid="base")
     cfg = AugmentationConfig(threshold=0.3, count=2, seed=5)
-    augs = generate_augmentations(s, vgae, cfg)
+    augs = generate_augmentations(s, vgae, cfg, one_hot_bundle(s.graph.adjacency))
     ds = Dataset(
         samples=augs,
         splits={"train": list(range(len(augs)))},

@@ -180,7 +180,6 @@ class TestDrawsMatchPerEdgeOracle:
         got = rwr_sample(g, ego, n_target, restart_p=restart_p, rng=rng)
         want = oracle_rwr_sample(g, ego, n_target, restart_p=restart_p, rng=ref)
         assert (got.ego, got.node_ids, got.truncated) == (want.ego, want.node_ids, want.truncated)
-        assert got.graph.node_ids == want.graph.node_ids
         np.testing.assert_array_equal(got.graph.adjacency, want.graph.adjacency)
         assert generator_state(rng) == generator_state(ref)
 
@@ -215,7 +214,6 @@ class TestDrawsMatchPerEdgeOracle:
         assert len(got.samples) == len(want.samples) == cfg.samples
         for a, b in zip(got.samples, want.samples):
             assert (a.sample_id, a.ego, a.label) == (b.sample_id, b.ego, b.label)
-            assert a.graph.node_ids == b.graph.node_ids
             np.testing.assert_array_equal(a.graph.adjacency, b.graph.adjacency)
             np.testing.assert_array_equal(a.influence_state, b.influence_state)
             assert a.influence_state.dtype == b.influence_state.dtype

@@ -13,7 +13,7 @@ from egoinf.deepwalk import (
 from egoinf.errors import ConfigError
 from egoinf.features import DeepWalkConfig, FeatureStore, influence_features
 from egoinf.graphs import EgoSample, UndirectedGraph
-from egoinf.layers import attention_layout
+from egoinf.layers import attention_layout, normalized_adjacency
 from egoinf.rng import stream
 from egoinf.sampling import rwr_sample
 
@@ -162,8 +162,8 @@ class TestFeatureStore:
     def test_bundle_builds_encoder_input_and_layout_once(self):
         s = make_sample([[0, 1, 0], [1, 0, 0], [0, 0, 0]], sid="once")
         fb = FeatureStore(0, DeepWalkConfig(dim=4, walks_per_node=2, walk_length=6)).bundle(s)
-        assert fb.encoder_input is fb.encoder_input
-        np.testing.assert_array_equal(fb.encoder_input, np.hstack([fb.influence, fb.deepwalk]))
+        np.testing.assert_array_equal(fb.encoder_input[:, :2], influence_features(s))
+        np.testing.assert_array_equal(fb.a_hat, normalized_adjacency(fb.adjacency))
         for got, want in zip(fb.layout, attention_layout(fb.adjacency)):
             np.testing.assert_array_equal(got, want)
         # the isolated node attends to itself
@@ -252,7 +252,6 @@ class TestRandomWalkProperties:
         for s in samples:
             store.bundle(s)
         later = store.bundle(target)
-        np.testing.assert_array_equal(first.deepwalk, later.deepwalk)
         np.testing.assert_array_equal(first.encoder_input, later.encoder_input)
         np.testing.assert_array_equal(first.a_hat, later.a_hat)
 

@@ -34,6 +34,7 @@ from .oracles import (
     oracle_layer,
     oracle_normalized_adjacency,
     random_adjacency,
+    tape_sum,
 )
 
 
@@ -170,7 +171,7 @@ def assert_fused_matches_chain(adj, f_in, f_out, heads, concat, rng):
         t = Tape()
         x = t.leaf(h)
         out = forward(t, layer, x, graph)
-        t.backward(t.sum(t.hadamard(out, t.leaf(probe))))
+        t.backward(tape_sum(t, t.hadamard(out, t.leaf(probe))))
         grads = {k: t.grad(v) for k, v in layer.parameters().items()}
         results.append((out.values, t.grad(x), grads))
     (got, got_dx, got_grads), (want, want_dx, want_grads) = results
@@ -369,7 +370,7 @@ class TestEdgeLayout:
             x = t.leaf(h)
             for i, layer in enumerate(net.layers):
                 x = gat_forward(t, layer, t.elu(x) if i else x, layout_of())
-            t.backward(t.sum(t.slice_rows(x, 0, 1)))
+            t.backward(tape_sum(t, t.slice_rows(x, 0, 1)))
             return x.values, [t.grad(v) for v in net.parameters().values()]
 
         got, got_grads = run(lambda: shared)

@@ -77,7 +77,7 @@ def test_augmentation_counters_match_the_copies():
     from egoinf.autoenc import VgaeModel
     from egoinf.graphs import EgoSample, UndirectedGraph
 
-    from .oracles import random_adjacency
+    from .oracles import one_hot_bundle, random_adjacency
 
     rng = np.random.default_rng(4)
     n = 10
@@ -90,14 +90,15 @@ def test_augmentation_counters_match_the_copies():
     )
     vgae = VgaeModel.create(n, 6, 4, rng)
     cfg = AugmentationConfig(threshold=0.5, count=3, seed=9)
-    probs = edge_probabilities(sample, vgae)
+    fb = one_hot_bundle(sample.graph.adjacency)
+    probs = edge_probabilities(vgae, fb)
     candidates = len(candidate_edges(probs, sample.graph.adjacency, cfg.threshold))
     assert candidates > 0, "the case needs a non-empty candidate set"
 
     tracer = load_tracing().Tracer()
     try:
         tracer.install()
-        copies = training.generate_augmentations(sample, vgae, cfg)
+        copies = training.generate_augmentations(sample, vgae, cfg, fb)
     finally:
         tracer.uninstall()
     gained = sum(

@@ -1,9 +1,11 @@
 import itertools
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from egoinf import features
 from egoinf.ablation import run_arm
 from egoinf.augment import AugmentationConfig, edge_probabilities, generate_augmentations
 from egoinf.autodiff import Tape
@@ -112,8 +114,7 @@ class TestTrainJoint:
         train = DATASET.split_samples("train")
         vgae = pretrain_augmenter(train, cfg, store, 3)
         for s in train:
-            fb = store.bundle(s)
-            for aug in generate_augmentations(s, vgae, cfg.aug, features=fb.encoder_input):
+            for aug in generate_augmentations(s, vgae, cfg.aug, store.bundle(s)):
                 assert aug.label == s.label
                 assert aug.ego == s.ego
 
@@ -204,8 +205,7 @@ class TestPredict:
         model, cfg, abl, vgae, store = self.setup_trained(arm=4, count=3)
         plain = AblationConfig.from_arm(1)
         s = DATASET.split_samples("test")[0]
-        fb = store.bundle(s)
-        variants = [s] + generate_augmentations(s, vgae, cfg.aug, features=fb.encoder_input)
+        variants = [s] + generate_augmentations(s, vgae, cfg.aug, store.bundle(s))
         manual = np.mean([predict(model, v, plain, None, cfg, store) for v in variants])
         assert predict(model, s, abl, vgae, cfg, store) == pytest.approx(manual, abs=1e-15)
 
@@ -221,8 +221,7 @@ class TestPredict:
                 frozen_encode(model.gae, fb), recording_frozen_encode(model.gae, fb)
             )
             np.testing.assert_array_equal(
-                edge_probabilities(s, vgae, fb.encoder_input),
-                recording_edge_probabilities(s, vgae, fb.encoder_input),
+                edge_probabilities(vgae, fb), recording_edge_probabilities(vgae, fb)
             )
             added += sum(c.graph.num_edges - s.graph.num_edges
                          for c in augmented_copies(s, vgae, cfg.aug, store))
@@ -244,7 +243,7 @@ class TestPredict:
         monkeypatch.setattr(Tape, "__init__", spy)
         predict(model, s, abl, vgae, cfg, store)
         frozen_encode(model.gae, fb)
-        edge_probabilities(s, vgae, fb.encoder_input)
+        edge_probabilities(vgae, fb)
         assert len(built) >= 3 and not any(built)
         built.clear()
         train = DATASET.split_samples("train")
@@ -256,6 +255,30 @@ class TestPredict:
         abl = AblationConfig.from_arm(4)
         with pytest.raises(ConfigError):
             predict(model, DATASET.split_samples("test")[0], abl, None, cfg, store)
+
+
+def test_each_bundle_normalizes_its_adjacency_once(monkeypatch):
+    # every encoder reads A_hat from the sample's bundle: augmenter
+    # pretraining, frozen GAE pretraining, train-time copies and test-time
+    # averaging add no normalization beyond the one each new bundle makes
+    normalized = []
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "egoinf" and hasattr(module, "normalized_adjacency"):
+            real = module.normalized_adjacency
+            monkeypatch.setattr(module, "normalized_adjacency",
+                                lambda adj, real=real: normalized.append(1) or real(adj))
+    built = []
+    embed = features.deepwalk_embed  # called once per bundle the store builds
+    monkeypatch.setattr(features, "deepwalk_embed", lambda *a: built.append(1) or embed(*a))
+    cfg = run_config_with_seed(tiny_config(), 12)
+    store = FeatureStore(12, cfg.deepwalk)
+    train = DATASET.split_samples("train")
+    vgae = pretrain_augmenter(train, cfg, store, 12)
+    model = JointModel.create(cfg, feature_width=2 + cfg.deepwalk.dim, seed=12)
+    train_joint(model, train, cfg, AblationConfig.from_arm(3), vgae=vgae, store=store)
+    for s in DATASET.split_samples("test"):
+        predict(model, s, AblationConfig.from_arm(8), vgae, cfg, store)
+    assert len(normalized) == len(built) > len(DATASET.samples)
 
 
 class TestDeterminismAndIsolation:
