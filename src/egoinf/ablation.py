@@ -136,7 +136,7 @@ def score_arm(
     cfg_run = run_config_with_seed(cfg, seed)
     scores = [predict(model, s, abl, vgae, cfg_run, store) for s in samples]
     labels = [s.label for s in samples]
-    return scores, RunRecord(abl.arm_id, seed, auc(scores, labels), f1(scores, labels))
+    return scores, RunRecord(abl.arm, seed, auc(scores, labels), f1(scores, labels))
 
 
 def run_arm(

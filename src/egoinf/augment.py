@@ -37,11 +37,6 @@ def edge_probabilities(vgae: VgaeModel, fb: FeatureBundle) -> np.ndarray:
     """Decode deterministic (eval mode, Z = mean) edge probabilities for one
     sample's bundle: a read-only symmetric n x n array, entries in (0, 1),
     diagonal unused."""
-    if fb.width != vgae.in_width:
-        raise ConfigError(
-            f"feature width {fb.width} does not match the checkpoint's "
-            f"expected width {vgae.in_width}"
-        )
     tape = Tape(grad=False)
     z, _, _ = vgae_encode(tape, vgae, tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat))
     probs = inner_product_decode(tape, z).values

@@ -20,6 +20,8 @@ import types
 import typing
 from pathlib import Path
 
+import numpy as np
+
 from .ablation import (
     check_run_seeds,
     fit_arm,
@@ -32,9 +34,10 @@ from .autoenc import LOGVAR_CLAMP, VgaeModel
 from .cascade import CascadeConfig, generate_dataset
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, DivergenceError, NumericsError
-from .features import FeatureStore
+from .features import FeatureStore, feature_width
 from .graphs import load_dataset, save_dataset
 from .training import (
+    ARM_FLAGS,
     AblationConfig,
     JointModel,
     TrainConfig,
@@ -116,20 +119,10 @@ def save_joint_model(path: Path, model: JointModel, cfg: TrainConfig, arm: int) 
     save_checkpoint(path, model.parameters(include_gae=True), meta)
 
 
-def load_joint_model(path: Path) -> tuple[JointModel, TrainConfig, int]:
-    matrices, meta = load_checkpoint(path)
-    if meta.get("kind") != "joint":
-        raise DataError(f"{path}: not a joint model checkpoint")
-    problem = _shape_problem(meta.get("train"), TrainConfig, "train")
-    if problem:
-        raise DataError(f"{path}: checkpoint {problem}")
-    try:
-        cfg = config_from_dict(TrainConfig, meta["train"])
-        model = JointModel.create(cfg, feature_width=meta["feature_width"], seed=cfg.seed)
-        arm = AblationConfig.from_arm(meta["arm"]).arm_id
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise DataError(f"{path}: bad model configuration in checkpoint: {exc}") from exc
-    params = model.parameters(include_gae=True)
+def _restore(path: Path, params: dict, matrices: dict) -> None:
+    """Fill params in place from a checkpoint's matrices, which must carry
+    exactly the parameters' names and shapes; on DataError the parameters
+    are partly filled and must be discarded."""
     if set(params) != set(matrices):
         missing = sorted(set(params) - set(matrices))
         unexpected = sorted(set(matrices) - set(params))
@@ -139,8 +132,27 @@ def load_joint_model(path: Path) -> tuple[JointModel, TrainConfig, int]:
         )
     for name, arr in matrices.items():
         if params[name].shape != arr.shape:
-            raise DataError(f"{path}: shape mismatch for '{name}'")
+            raise DataError(f"{path}: matrix '{name}' is {arr.shape}, not {params[name].shape}")
         params[name][...] = arr
+
+
+def load_joint_model(path: Path) -> tuple[JointModel, TrainConfig, int]:
+    """The model, its config and arm. The config alone decides the shape of
+    every matrix; its feature width is also the augmenter's (load_vgae)."""
+    matrices, meta = load_checkpoint(path)
+    if meta.get("kind") != "joint":
+        raise DataError(f"{path}: not a joint model checkpoint")
+    problem = _shape_problem(meta.get("train"), TrainConfig, "train")
+    if problem:
+        raise DataError(f"{path}: checkpoint {problem}")
+    try:
+        cfg = config_from_dict(TrainConfig, meta["train"])
+        arm = AblationConfig.from_arm(meta.get("arm")).arm
+        # sizes come from the file: one too large to allocate is bad data
+        model = JointModel.create(cfg, feature_width=feature_width(cfg.deepwalk), seed=cfg.seed)
+    except (ValueError, OverflowError, MemoryError, ConfigError) as exc:
+        raise DataError(f"{path}: bad model configuration in checkpoint: {exc}") from exc
+    _restore(path, model.parameters(include_gae=True), matrices)
     return model, cfg, arm
 
 
@@ -156,22 +168,19 @@ def save_vgae(path: Path, vgae: VgaeModel, cfg: TrainConfig) -> None:
     save_checkpoint(path, vgae.parameters(), meta)
 
 
-def load_vgae(path: Path) -> VgaeModel:
+def load_vgae(path: Path, in_width: int) -> VgaeModel:
+    """The augmenter for a model whose features are in_width wide."""
     matrices, meta = load_checkpoint(path)
     if meta.get("kind") != "vgae":
         raise DataError(f"{path}: not an augmenter checkpoint")
-    dims = [meta.get(k) for k in ("in_width", "hidden", "embed_dim")]
-    if not all(type(v) is int and v > 0 for v in dims):
-        raise DataError(f"{path}: in_width, hidden and embed_dim must be positive integers")
-    in_width, hidden, embed_dim = dims
-    expected = {
-        "w0": (in_width, hidden),
-        "w1_mu": (hidden, embed_dim),
-        "w1_logvar": (hidden, embed_dim),
-    }
-    if {name: m.shape for name, m in matrices.items()} != expected:
-        raise DataError(f"{path}: augmenter matrices do not match the metadata {expected}")
-    return VgaeModel(**matrices)
+    hidden, embed_dim = meta.get("hidden"), meta.get("embed_dim")
+    shapes = ((in_width, hidden), (hidden, embed_dim), (hidden, embed_dim))  # field order
+    try:  # sizes that are no integers, negative or too large are bad data
+        vgae = VgaeModel(*map(np.empty, shapes))
+    except (TypeError, ValueError, OverflowError, MemoryError) as exc:
+        raise DataError(f"{path}: bad augmenter sizes in checkpoint: {exc}") from exc
+    _restore(path, vgae.parameters(), matrices)
+    return vgae
 
 
 # -- command implementations (callable from rerun) ---------------------------
@@ -212,12 +221,13 @@ def do_train(config: dict, out: Path) -> None:
 
 def do_eval(config: dict, out: Path) -> None:
     model, cfg, ckpt_arm = load_joint_model(Path(config["model_ckpt"]))
+    vgae_path = config.get("vgae_ckpt")
+    vgae = load_vgae(Path(vgae_path), feature_width(cfg.deepwalk)) if vgae_path else None
     arm = ckpt_arm if config["arm"] is None else int(config["arm"])
     abl = AblationConfig.from_arm(arm)
     dataset = load_dataset(config["data"])
     split = config.get("split", "test")
     samples = dataset.split_samples(split)
-    vgae = load_vgae(Path(config["vgae_ckpt"])) if config.get("vgae_ckpt") else None
     if abl.test_aug and cfg.aug.count > 0 and vgae is None:
         raise ConfigError(
             f"arm {arm} uses test-time augmentation; pass --vgae with the "
@@ -241,8 +251,8 @@ def do_eval(config: dict, out: Path) -> None:
         f"({len(samples)} samples)"
     )
     inputs = _dataset_inputs(config["data"]) + [Path(config["model_ckpt"])]
-    if config.get("vgae_ckpt"):
-        inputs.append(Path(config["vgae_ckpt"]))
+    if vgae_path:
+        inputs.append(Path(vgae_path))
     _write_manifest(out, "eval", config, inputs)
 
 
@@ -517,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="pretrain the augmenter and fit the joint model")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--arm", type=int, choices=range(1, 9), default=8)
+    p.add_argument("--arm", type=int, choices=ARM_FLAGS, default=8)
     _add_flags(p, TrainConfig, _TRAIN_FLAGS)
 
     p = sub.add_parser("eval", help="score a trained model on a split")
@@ -525,20 +535,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--model-ckpt", required=True)
     p.add_argument("--vgae", default=None)
-    p.add_argument("--arm", type=int, choices=range(1, 9), default=None)
+    p.add_argument("--arm", type=int, choices=ARM_FLAGS, default=None)
     p.add_argument("--split", choices=("train", "valid", "test"), default="test")
 
     p = sub.add_parser("ablate", help="run study arms with shared seeds")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--arms", type=_comma_list(int), default=list(range(1, 9)))
+    p.add_argument("--arms", type=_comma_list(int), default=list(ARM_FLAGS))
     p.add_argument("--runs", type=int, default=5)
     _add_flags(p, TrainConfig, _TRAIN_FLAGS)
 
     p = sub.add_parser("sweep", help="vary augmentation count or threshold")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--arm", type=int, choices=range(1, 9), default=8)
+    p.add_argument("--arm", type=int, choices=ARM_FLAGS, default=8)
     p.add_argument("--sweep", choices=("count", "threshold"), required=True)
     p.add_argument("--grid", type=_comma_list(float), default=None,
                    help="comma-separated values; defaults to 1..8 or 0.6,0.7,0.8,0.9")

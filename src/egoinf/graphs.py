@@ -243,9 +243,6 @@ def load_dataset(path) -> Dataset:
             raise
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed record on line {lineno}: {exc}") from exc
-        problems = validate_sample(sample)
-        if problems:
-            raise DataError(f"sample {sample.sample_id}: {'; '.join(problems)}")
         samples.append(sample)
 
     splits: dict[str, list[int]] = {}

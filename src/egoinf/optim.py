@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .autodiff import Tape
-from .errors import ConfigError, DimensionError, DivergenceError, NumericsError
+from .errors import DimensionError, DivergenceError, NumericsError
 
 
 class Adagrad:
@@ -23,8 +23,6 @@ class Adagrad:
         eps: float,
         weight_decay: float = 0.0,
     ):
-        if lr < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {lr}")
         self.params = params
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
@@ -32,11 +30,9 @@ class Adagrad:
         self.acc = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        """Apply one update in place. Missing names are treated as zero grads."""
+        """Apply one update in place."""
         for name, p in self.params.items():
-            g = grads.get(name)
-            if g is None:
-                g = np.zeros_like(p)
+            g = grads[name]
             if g.shape != p.shape:
                 raise DimensionError(
                     f"adagrad: grad {g.shape} vs param {p.shape} for '{name}'"

@@ -52,25 +52,22 @@ ARM_FLAGS: dict[int, tuple[bool, bool, bool]] = {
 
 @dataclass(frozen=True)
 class AblationConfig:
-    """Study-arm switches: joint loss, train-time and test-time augmentation."""
+    """A study arm, one of ARM_FLAGS' keys, and its switches: joint loss,
+    train-time and test-time augmentation."""
 
-    joint: bool = False
-    train_aug: bool = False
-    test_aug: bool = False
+    arm: int
 
-    @property
-    def arm_id(self) -> int:
-        for arm, flags in ARM_FLAGS.items():
-            if flags == (self.joint, self.train_aug, self.test_aug):
-                return arm
-        raise ConfigError("unreachable: flag combination not in the arm table")
+    def __post_init__(self):
+        if type(self.arm) is not int or self.arm not in ARM_FLAGS:
+            raise ConfigError(f"arm must be {min(ARM_FLAGS)}..{max(ARM_FLAGS)}, got {self.arm!r}")
+
+    joint = property(lambda self: ARM_FLAGS[self.arm][0])
+    train_aug = property(lambda self: ARM_FLAGS[self.arm][1])
+    test_aug = property(lambda self: ARM_FLAGS[self.arm][2])
 
     @classmethod
     def from_arm(cls, arm: int) -> "AblationConfig":
-        if arm not in ARM_FLAGS:
-            raise ConfigError(f"arm must be 1..8, got {arm}")
-        joint, train_aug, test_aug = ARM_FLAGS[arm]
-        return cls(joint=joint, train_aug=train_aug, test_aug=test_aug)
+        return cls(arm)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,13 @@ from egoinf.autoenc import (
 )
 from egoinf.cascade import CascadeConfig, generate_dataset
 from egoinf.cli import main as cli_main
-from egoinf.features import DeepWalkConfig, FeatureBundle, FeatureStore, influence_features
+from egoinf.features import (
+    DeepWalkConfig,
+    FeatureBundle,
+    FeatureStore,
+    feature_width,
+    influence_features,
+)
 from egoinf.graphs import EgoSample, UndirectedGraph
 from egoinf.layers import (
     GatLayer,
@@ -421,7 +427,7 @@ def test_c6_ablation_harness(small_dataset):
     test_samples = small_dataset.split_samples("test")
     vgae = pretrain_augmenter(train_samples, cfg1, store, 21)
     abl1 = AblationConfig.from_arm(1)
-    model = JointModel.create(cfg1, feature_width=2 + cfg_run.deepwalk.dim, seed=21)
+    model = JointModel.create(cfg1, feature_width=feature_width(cfg_run.deepwalk), seed=21)
     train_joint(model, train_samples, cfg1, abl1, vgae=None, store=store)
     with_vgae = [predict(model, s, abl1, vgae, cfg1, store) for s in test_samples]
     without = [predict(model, s, abl1, None, cfg1, store) for s in test_samples]

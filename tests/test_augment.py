@@ -12,7 +12,6 @@ from egoinf.augment import (
 )
 from egoinf.autoenc import VgaeModel
 from egoinf.errors import ConfigError
-from egoinf.features import FeatureBundle
 from egoinf.graphs import EgoSample, UndirectedGraph
 from egoinf.rng import stream
 
@@ -70,12 +69,6 @@ class TestEdgeProbabilities:
         expected = 1.0 / (1.0 + np.exp(-(mu.values @ mu.values.T)))
         m = edge_probabilities(vgae, one_hot_bundle(s.graph.adjacency))
         np.testing.assert_allclose(m, expected, atol=1e-12)
-
-    def test_feature_width_mismatch(self):
-        vgae = VgaeModel.create(9, 4, 2, np.random.default_rng(3))
-        s = random_sample(5, np.random.default_rng(4))
-        with pytest.raises(ConfigError, match="width"):
-            edge_probabilities(vgae, FeatureBundle(np.ones((5, 3)), s.graph.adjacency))
 
 
 class TestCandidateEdges:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from egoinf.checkpoint import load_checkpoint, save_checkpoint
 from egoinf.cli import main
+from egoinf.features import feature_width
 
 SYNTH_FLAGS = [
     "--nodes", "90", "--ws-k", "8", "--seed-set-size", "10",
@@ -273,24 +274,56 @@ def checkpoint_bytes(trained_dir):
     }
 
 
-def _load_all(path):
+@pytest.fixture(scope="module")
+def model_width(trained_dir):
+    """The trained model's feature width, which its augmenter must share."""
+    from egoinf.cli import load_joint_model
+
+    return feature_width(load_joint_model(trained_dir / "model.ckpt")[1].deepwalk)
+
+
+@pytest.fixture(scope="module")
+def other_width_dir(tmp_path_factory, synth_dir):
+    """trained_dir's run at another DeepWalk dimension (the later flag wins)."""
+    out = tmp_path_factory.mktemp("train-dw4")
+    code = main([
+        "train", "--data", str(synth_dir / "dataset.jsonl"), "--out", str(out),
+        "--arm", "8", "--seed", "5", *FAST_TRAIN_FLAGS, "--dw-dim", "4",
+    ])
+    assert code == 0
+    return out
+
+
+def _load_all(path, width):
     """Every reader of a checkpoint file; returns normally or raises."""
     from egoinf.cli import load_joint_model, load_vgae
 
     load_checkpoint(path)
-    (load_vgae if path.name.startswith("vgae") else load_joint_model)(path)
+    if path.name.startswith("vgae"):
+        load_vgae(path, width)
+    else:
+        load_joint_model(path)
+
+
+def _eval_exit(synth_dir, out, model_ckpt, vgae_ckpt) -> int:
+    return main([
+        "eval", "--data", str(synth_dir / "dataset.jsonl"), "--out", str(out),
+        "--model-ckpt", str(model_ckpt), "--vgae", str(vgae_ckpt),
+    ])
 
 
 class TestHostileCheckpoints:
     @pytest.mark.parametrize("cut", [0, 3, 10, 20, 40])
     @pytest.mark.parametrize("name", ["model.ckpt", "vgae.ckpt"])
-    def test_truncated_checkpoint_is_data_error(self, checkpoint_bytes, tmp_path, name, cut):
+    def test_truncated_checkpoint_is_data_error(
+        self, checkpoint_bytes, model_width, tmp_path, name, cut
+    ):
         from egoinf.errors import DataError
 
         path = tmp_path / name
         path.write_bytes(checkpoint_bytes[name][:cut])
         with pytest.raises(DataError):
-            _load_all(path)
+            _load_all(path, model_width)
 
     def test_truncated_checkpoint_exits_3(self, synth_dir, trained_dir, checkpoint_bytes, tmp_path):
         cut = tmp_path / "model.ckpt"
@@ -301,22 +334,69 @@ class TestHostileCheckpoints:
         ])
         assert code == 3
 
-    def test_vgae_shapes_checked_against_metadata(self, trained_dir, tmp_path):
+    def test_vgae_shapes_checked_against_metadata(self, trained_dir, model_width, tmp_path):
         from egoinf.cli import load_vgae
         from egoinf.errors import DataError
 
         mats, meta = load_checkpoint(trained_dir / "vgae.ckpt")
-        assert load_vgae(trained_dir / "vgae.ckpt").in_width == meta["in_width"]
+        assert load_vgae(trained_dir / "vgae.ckpt", model_width).in_width == meta["in_width"]
         for bad_meta, bad_mats in (
             ({**meta, "hidden": meta["hidden"] + 1}, mats),
             (meta, {**mats, "w1_mu": mats["w1_mu"][:, 1:]}),
             (meta, {k: v for k, v in mats.items() if k != "w1_logvar"}),
             ({**meta, "embed_dim": "4"}, mats),
+            ({**meta, "hidden": 2**40}, mats),  # 64 TiB to allocate
         ):
             path = tmp_path / "vgae.ckpt"
             save_checkpoint(path, bad_mats, bad_meta)
             with pytest.raises(DataError):
-                load_vgae(path)
+                load_vgae(path, model_width)
+
+    def test_model_config_disagreeing_with_its_matrices_exits_3(
+        self, synth_dir, trained_dir, tmp_path, capsys, no_features
+    ):
+        # the file's feature_width field and matrices keep the trained width;
+        # its config names another DeepWalk dimension, which decides
+        mats, meta = load_checkpoint(trained_dir / "model.ckpt")
+        meta["train"]["deepwalk"]["dim"] += 1
+        bad = tmp_path / "model.ckpt"
+        save_checkpoint(bad, mats, meta)
+        assert _eval_exit(synth_dir, tmp_path / "e", bad, trained_dir / "vgae.ckpt") == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "matrix 'head.l0.w' is (12, 8), not (13, 8)" in err
+        assert not (tmp_path / "e").exists()
+
+    def test_vgae_of_another_feature_width_exits_3(
+        self, synth_dir, trained_dir, other_width_dir, tmp_path, capsys, no_features
+    ):
+        code = _eval_exit(
+            synth_dir, tmp_path / "e", trained_dir / "model.ckpt", other_width_dir / "vgae.ckpt"
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "matrix 'w0' is (6, 6), not (8, 6)" in err
+        assert not (tmp_path / "e").exists()
+
+    def test_model_sizes_too_large_to_allocate_exit_3(
+        self, synth_dir, trained_dir, tmp_path, capsys, no_features
+    ):
+        mats, meta = load_checkpoint(trained_dir / "model.ckpt")
+        meta["train"]["model"]["gae_hidden"] = 2**40  # 64 TiB for the first matrix
+        bad = tmp_path / "model.ckpt"
+        save_checkpoint(bad, mats, meta)
+        assert _eval_exit(synth_dir, tmp_path / "e", bad, trained_dir / "vgae.ckpt") == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "bad model configuration in checkpoint" in err
+        assert not (tmp_path / "e").exists()
+
+    def test_model_arm_true_is_data_error(self, trained_dir, tmp_path):
+        from egoinf.errors import DataError
+
+        mats, meta = load_checkpoint(trained_dir / "model.ckpt")
+        bad = tmp_path / "model.ckpt"
+        save_checkpoint(bad, mats, {**meta, "arm": True})
+        with pytest.raises(DataError, match="arm must be 1..8, got True"):
+            _load_all(bad, None)
 
     def test_per_head_layout_exits_3_naming_matrices(
         self, synth_dir, trained_dir, capsys, tmp_path
@@ -352,7 +432,7 @@ class TestHostileCheckpoints:
         ),
     )
     def test_damaged_checkpoint_raises_only_data_error(
-        self, checkpoint_bytes, tmp_path, name, cut, flips
+        self, checkpoint_bytes, model_width, tmp_path, name, cut, flips
     ):
         from egoinf.errors import DataError
 
@@ -364,7 +444,7 @@ class TestHostileCheckpoints:
         path = tmp_path / name
         path.write_bytes(bytes(raw))
         try:
-            _load_all(path)
+            _load_all(path, model_width)
         except DataError:
             pass
 

@@ -62,7 +62,7 @@ class TestArmTable:
         seen = set()
         for arm in range(1, 9):
             abl = AblationConfig.from_arm(arm)
-            assert abl.arm_id == arm
+            assert abl.arm == arm
             seen.add((abl.joint, abl.train_aug, abl.test_aug))
         assert len(seen) == 8
 
@@ -76,6 +76,12 @@ class TestArmTable:
         with pytest.raises(ConfigError):
             AblationConfig.from_arm(9)
 
+    @pytest.mark.parametrize("arm", [True, 1.0, "1", None])
+    def test_arm_that_is_no_int_rejected(self, arm):
+        # JSON true once loaded silently as arm 1: True == 1 as a dict key
+        with pytest.raises(ConfigError, match="arm must be 1..8"):
+            AblationConfig.from_arm(arm)
+
 
 class TestTrainJoint:
     def test_zero_lr_freezes_parameters_and_trace(self):
@@ -83,7 +89,7 @@ class TestTrainJoint:
         cfg = run_config_with_seed(cfg, 1)
         store = FeatureStore(1, cfg.deepwalk)
         train = DATASET.split_samples("train")
-        model = JointModel.create(cfg, feature_width=2 + cfg.deepwalk.dim, seed=1)
+        model = JointModel.create(cfg, feature_width=features.feature_width(cfg.deepwalk), seed=1)
         before = {k: v.copy() for k, v in model.parameters().items()}
         _, trace = train_joint(model, train, cfg, AblationConfig.from_arm(2), store=store)
         for k, v in model.parameters().items():
@@ -103,7 +109,9 @@ class TestTrainJoint:
                 if (abl.train_aug or abl.test_aug)
                 else None
             )
-            model = JointModel.create(cfg, feature_width=2 + cfg.deepwalk.dim, seed=2)
+            model = JointModel.create(
+                cfg, feature_width=features.feature_width(cfg.deepwalk), seed=2
+            )
             _, trace = train_joint(model, train, cfg, abl, vgae=vgae, store=store)
             traces.append([r["loss"] for r in trace])
         assert traces[0] == traces[1]
@@ -122,13 +130,13 @@ class TestTrainJoint:
         cfg = run_config_with_seed(tiny_config(epochs=12, dropout=0.0, batch_size=8), 4)
         store = FeatureStore(4, cfg.deepwalk)
         train = DATASET.split_samples("train")
-        model = JointModel.create(cfg, feature_width=2 + cfg.deepwalk.dim, seed=4)
+        model = JointModel.create(cfg, feature_width=features.feature_width(cfg.deepwalk), seed=4)
         _, trace = train_joint(model, train, cfg, AblationConfig.from_arm(1), store=store)
         assert trace[-1]["loss"] < trace[0]["loss"]
 
     def test_empty_training_set_rejected(self):
         cfg = tiny_config()
-        model = JointModel.create(cfg, feature_width=2 + cfg.deepwalk.dim, seed=0)
+        model = JointModel.create(cfg, feature_width=features.feature_width(cfg.deepwalk), seed=0)
         with pytest.raises(ConfigError):
             train_joint(model, [], cfg, AblationConfig.from_arm(1), store=FeatureStore(0, TINY_DW))
 
@@ -139,7 +147,9 @@ class TestTrainJoint:
             cfg = run_config_with_seed(tiny_config(epochs=1, adagrad_eps=eps), 7)
             store = FeatureStore(7, cfg.deepwalk)
             vgae = pretrain_augmenter(train, cfg, store, 7)
-            model = JointModel.create(cfg, feature_width=2 + cfg.deepwalk.dim, seed=7)
+            model = JointModel.create(
+                cfg, feature_width=features.feature_width(cfg.deepwalk), seed=7
+            )
             train_joint(model, train, cfg, AblationConfig.from_arm(1), store=store)
             weights.append((vgae.w0.copy(), model.gae.w0.copy()))
         (vgae_a, gae_a), (vgae_b, gae_b) = weights
@@ -152,7 +162,7 @@ class TestTrainJoint:
         cfg = run_config_with_seed(tiny_config(epochs=2), 6)
         store = FeatureStore(6, cfg.deepwalk)
         train = DATASET.split_samples("train")
-        model = JointModel.create(cfg, feature_width=2 + cfg.deepwalk.dim, seed=6)
+        model = JointModel.create(cfg, feature_width=features.feature_width(cfg.deepwalk), seed=6)
         model.gae.w0[...] = 1e200  # overflow in the first joint forward
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match=r"epoch 0, sample"):
@@ -189,7 +199,9 @@ class TestPredict:
             if (abl.train_aug or abl.test_aug)
             else None
         )
-        model = JointModel.create(cfg, feature_width=2 + cfg.deepwalk.dim, seed=seed)
+        model = JointModel.create(
+            cfg, feature_width=features.feature_width(cfg.deepwalk), seed=seed
+        )
         train_joint(model, train, cfg, abl, vgae=vgae, store=store)
         return model, cfg, abl, vgae, store
 
@@ -274,7 +286,7 @@ def test_each_bundle_normalizes_its_adjacency_once(monkeypatch):
     store = FeatureStore(12, cfg.deepwalk)
     train = DATASET.split_samples("train")
     vgae = pretrain_augmenter(train, cfg, store, 12)
-    model = JointModel.create(cfg, feature_width=2 + cfg.deepwalk.dim, seed=12)
+    model = JointModel.create(cfg, feature_width=features.feature_width(cfg.deepwalk), seed=12)
     train_joint(model, train, cfg, AblationConfig.from_arm(3), vgae=vgae, store=store)
     for s in DATASET.split_samples("test"):
         predict(model, s, AblationConfig.from_arm(8), vgae, cfg, store)
@@ -294,7 +306,7 @@ class TestDeterminismAndIsolation:
         train = DATASET.split_samples("train")
         test = DATASET.split_samples("test")
         vgae = pretrain_augmenter(train, cfg, store, 10)
-        model = JointModel.create(cfg, feature_width=2 + cfg.deepwalk.dim, seed=10)
+        model = JointModel.create(cfg, feature_width=features.feature_width(cfg.deepwalk), seed=10)
         train_joint(model, train, cfg, abl, vgae=None, store=store)
         with_v = [predict(model, s, abl, vgae, cfg, store) for s in test]
         without = [predict(model, s, abl, None, cfg, store) for s in test]
