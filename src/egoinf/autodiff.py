@@ -5,9 +5,11 @@ An operation computes its result eagerly in numpy and records a node
 (inputs + backward rule) on the Tape unless the tape is no-grad
 (``Tape(grad=False)``, for inference); ``Tape.backward`` replays the
 records once, in reverse, accumulating gradients. Matrices are always
-2-D float64; scalars are 1x1 matrices. Inside an op numpy may use any
-shape: ``gat_heads`` runs every attention head of a GAT layer as one node
-and lays its result out as an (n, H*f) matrix. Its scores and masked
+2-D float64; scalars are 1x1 matrices. B equal-size graphs of n nodes
+are stacked by rows, (B*n, f); ``block_matmul`` and ``block_gram`` work on
+each graph's block of n rows. Inside an op numpy may use any shape:
+``gat_heads`` runs every attention head of a GAT layer as one node and
+lays its result out as an (n, H*f) matrix. Its scores and masked
 softmax run on the E edges of the caller's ``layers.EdgeLayout`` as
 (H, E) arrays, O(H*E); only the coefficients are scattered into a dense
 (H, n, n) array, for the BLAS aggregation and its backward products.
@@ -69,12 +71,9 @@ def _as_matrix(values) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) never overflows; each side takes the form that is exact there
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def attention_weights(
@@ -173,6 +172,40 @@ class Tape:
 
         return self._record(av @ bv, (a, b), bw)
 
+    def block_matmul(self, a: Tensor, h: Tensor) -> Tensor:
+        """Row block b of the result is A_b @ H_b: a stacks B constant (n, n)
+        blocks by rows, (B*n, n), and h stacks B blocks of n rows. One graph
+        is a stack of one. Only h gets a gradient; a is data, such as
+        normalized adjacencies."""
+        n, f = a.cols, h.cols
+        if a.rows != h.rows or a.rows % n:
+            raise DimensionError(f"block_matmul: {a.shape} blocks @ {h.shape}")
+        a3 = a.values.reshape(-1, n, n)
+
+        def bw(g):
+            return ((a3.transpose(0, 2, 1) @ g.reshape(-1, n, f)).reshape(h.shape),)
+
+        return self._record((a3 @ h.values.reshape(-1, n, f)).reshape(h.shape), (h,), bw)
+
+    def block_gram(self, z: Tensor, n: int) -> Tensor:
+        """(Z_b Z_b^T + (Z_b Z_b^T)^T) / 2 for each block Z_b of n rows of z,
+        stacked by rows as (B*n, n): every block equals its transpose bitwise."""
+        if n < 1 or z.rows % n:
+            raise DimensionError(f"block_gram: {z.shape} in blocks of {n} rows")
+        z3 = z.values.reshape(-1, n, z.cols)
+        # a copy, not a view: numpy would multiply a view by its own
+        # transpose through syrk, whose rounding differs from gemm's
+        zt = z3.transpose(0, 2, 1).copy()
+        s = z3 @ zt
+
+        def bw(g):
+            g1 = g.reshape(s.shape) * 0.5
+            g1 = g1 + g1.transpose(0, 2, 1)
+            dz = g1 @ zt.transpose(0, 2, 1) + (z3.transpose(0, 2, 1) @ g1).transpose(0, 2, 1)
+            return (dz.reshape(z.shape),)
+
+        return self._record(((s + s.transpose(0, 2, 1)) * 0.5).reshape(z.rows, n), (z,), bw)
+
     def add(self, a: Tensor, b: Tensor) -> Tensor:
         if a.shape != b.shape:
             raise DimensionError(f"add: {a.shape} + {b.shape}")
@@ -183,9 +216,6 @@ class Tape:
             raise DimensionError(f"hadamard: {a.shape} * {b.shape}")
         av, bv = a.values, b.values
         return self._record(av * bv, (a, b), lambda g: (g * bv, g * av))
-
-    def transpose(self, a: Tensor) -> Tensor:
-        return self._record(a.values.T.copy(), (a,), lambda g: (g.T,))
 
     def scale(self, a: Tensor, c: float) -> Tensor:
         c = float(c)
@@ -362,12 +392,13 @@ class Tape:
             raise ConfigError("bce_mean: mask selects no entries")
         x = pred.values
         in_range = (x > _CLIP) & (x < 1.0 - _CLIP)
-        p = np.clip(x, _CLIP, 1.0 - _CLIP)
-        ce = -(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))
-        val = (w * m * ce).sum() / count
+        p = np.minimum(np.maximum(x, _CLIP), 1.0 - _CLIP)
+        q, nt, wm = 1.0 - p, 1.0 - t, w * m  # shared with the backward
+        ce = -(t * np.log(p) + nt * np.log(q))
+        val = (wm * ce).sum() / count
 
         def bw(g):
-            d = w * m * (-t / p + (1.0 - t) / (1.0 - p)) / count
+            d = wm * (-t / p + nt / q) / count
             return (g[0, 0] * d * in_range,)
 
         return self._record(np.array([[val]]), (pred,), bw)

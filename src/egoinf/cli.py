@@ -20,8 +20,6 @@ import types
 import typing
 from pathlib import Path
 
-import numpy as np
-
 from .ablation import (
     check_run_seeds,
     fit_arm,
@@ -119,26 +117,25 @@ def save_joint_model(path: Path, model: JointModel, cfg: TrainConfig, arm: int) 
     save_checkpoint(path, model.parameters(include_gae=True), meta)
 
 
-def _restore(path: Path, params: dict, matrices: dict) -> None:
-    """Fill params in place from a checkpoint's matrices, which must carry
-    exactly the parameters' names and shapes; on DataError the parameters
-    are partly filled and must be discarded."""
-    if set(params) != set(matrices):
-        missing = sorted(set(params) - set(matrices))
-        unexpected = sorted(set(matrices) - set(params))
+def _check_shapes(path: Path, shapes: dict[str, tuple[int, int]], matrices: dict) -> None:
+    """Raise DataError unless the checkpoint's matrices carry exactly the
+    names and shapes the configuration gives; nothing is allocated."""
+    if set(shapes) != set(matrices):
+        missing = sorted(set(shapes) - set(matrices))
+        unexpected = sorted(set(matrices) - set(shapes))
         raise DataError(
             f"{path}: matrices do not match the configuration: "
             f"missing {missing}, unexpected {unexpected}"
         )
     for name, arr in matrices.items():
-        if params[name].shape != arr.shape:
-            raise DataError(f"{path}: matrix '{name}' is {arr.shape}, not {params[name].shape}")
-        params[name][...] = arr
+        if arr.shape != shapes[name]:
+            raise DataError(f"{path}: matrix '{name}' is {arr.shape}, not {shapes[name]}")
 
 
 def load_joint_model(path: Path) -> tuple[JointModel, TrainConfig, int]:
     """The model, its config and arm. The config alone decides the shape of
-    every matrix; its feature width is also the augmenter's (load_vgae)."""
+    every matrix, and is compared with the file before any model is built;
+    its feature width is also the augmenter's (load_vgae)."""
     matrices, meta = load_checkpoint(path)
     if meta.get("kind") != "joint":
         raise DataError(f"{path}: not a joint model checkpoint")
@@ -148,11 +145,13 @@ def load_joint_model(path: Path) -> tuple[JointModel, TrainConfig, int]:
     try:
         cfg = config_from_dict(TrainConfig, meta["train"])
         arm = AblationConfig.from_arm(meta.get("arm")).arm
-        # sizes come from the file: one too large to allocate is bad data
-        model = JointModel.create(cfg, feature_width=feature_width(cfg.deepwalk), seed=cfg.seed)
-    except (ValueError, OverflowError, MemoryError, ConfigError) as exc:
+    except (ValueError, ConfigError) as exc:
         raise DataError(f"{path}: bad model configuration in checkpoint: {exc}") from exc
-    _restore(path, model.parameters(include_gae=True), matrices)
+    width = feature_width(cfg.deepwalk)
+    _check_shapes(path, JointModel.shapes(cfg, width), matrices)
+    model = JointModel.create(cfg, feature_width=width, seed=cfg.seed)
+    for name, arr in model.parameters(include_gae=True).items():
+        arr[...] = matrices[name]
     return model, cfg, arm
 
 
@@ -168,19 +167,17 @@ def save_vgae(path: Path, vgae: VgaeModel, cfg: TrainConfig) -> None:
     save_checkpoint(path, vgae.parameters(), meta)
 
 
-def load_vgae(path: Path, in_width: int) -> VgaeModel:
-    """The augmenter for a model whose features are in_width wide."""
+def load_vgae(path: Path, cfg: TrainConfig) -> VgaeModel:
+    """The augmenter of a model trained under cfg: its sizes are the
+    model's feature width, gae_hidden and embed_dim, as pretrain_augmenter
+    builds it. Its seed may differ from the model's."""
     matrices, meta = load_checkpoint(path)
     if meta.get("kind") != "vgae":
         raise DataError(f"{path}: not an augmenter checkpoint")
-    hidden, embed_dim = meta.get("hidden"), meta.get("embed_dim")
-    shapes = ((in_width, hidden), (hidden, embed_dim), (hidden, embed_dim))  # field order
-    try:  # sizes that are no integers, negative or too large are bad data
-        vgae = VgaeModel(*map(np.empty, shapes))
-    except (TypeError, ValueError, OverflowError, MemoryError) as exc:
-        raise DataError(f"{path}: bad augmenter sizes in checkpoint: {exc}") from exc
-    _restore(path, vgae.parameters(), matrices)
-    return vgae
+    width, hidden, embed = feature_width(cfg.deepwalk), cfg.model.gae_hidden, cfg.model.embed_dim
+    shapes = {"w0": (width, hidden), "w1_mu": (hidden, embed), "w1_logvar": (hidden, embed)}
+    _check_shapes(path, shapes, matrices)
+    return VgaeModel(**matrices)
 
 
 # -- command implementations (callable from rerun) ---------------------------
@@ -222,7 +219,7 @@ def do_train(config: dict, out: Path) -> None:
 def do_eval(config: dict, out: Path) -> None:
     model, cfg, ckpt_arm = load_joint_model(Path(config["model_ckpt"]))
     vgae_path = config.get("vgae_ckpt")
-    vgae = load_vgae(Path(vgae_path), feature_width(cfg.deepwalk)) if vgae_path else None
+    vgae = load_vgae(Path(vgae_path), cfg) if vgae_path else None
     arm = ckpt_arm if config["arm"] is None else int(config["arm"])
     abl = AblationConfig.from_arm(arm)
     dataset = load_dataset(config["data"])

@@ -180,6 +180,14 @@ class PredictionNet:
         return out
 
 
+def _head_dims(variant: str, f_in: int, hidden: int, heads: int) -> list[tuple[int, int]]:
+    """Input width and per-head output width of the head's three layers."""
+    if variant == "gat":
+        per_head = hidden // heads
+        return [(f_in, per_head), (hidden, per_head), (hidden, 2)]
+    return [(f_in, hidden), (hidden, hidden), (hidden, 2)]
+
+
 def build_prediction_net(
     variant: str,
     f_in: int,
@@ -189,20 +197,28 @@ def build_prediction_net(
     rng,
 ) -> PredictionNet:
     """The three-layer head; ModelConfig checks the variant and sizes."""
+    dims = _head_dims(variant, f_in, hidden, heads)
     if variant == "gat":
-        per_head = hidden // heads
         layers = [
-            GatLayer.create(f_in, per_head, heads, rng),
-            GatLayer.create(hidden, per_head, heads, rng),
-            GatLayer.create(hidden, 2, heads, rng, concat=False),
+            GatLayer.create(a, f, heads, rng, concat=i < 2) for i, (a, f) in enumerate(dims)
         ]
     else:  # gcn
-        layers = [
-            GcnLayer.create(f_in, hidden, rng),
-            GcnLayer.create(hidden, hidden, rng),
-            GcnLayer.create(hidden, 2, rng),
-        ]
+        layers = [GcnLayer.create(a, f, rng) for a, f in dims]
     return PredictionNet(layers=layers, dropout=dropout)
+
+
+def prediction_net_shapes(
+    variant: str, f_in: int, hidden: int, heads: int
+) -> dict[str, tuple[int, int]]:
+    """The shape of each of ``PredictionNet.parameters()``'s matrices under
+    build_prediction_net's sizes, without building the net."""
+    out = {}
+    for i, (a, f) in enumerate(_head_dims(variant, f_in, hidden, heads)):
+        if variant == "gat":
+            out[f"l{i}.w"], out[f"l{i}.a"] = (a, heads * f), (2 * f, heads)
+        else:
+            out[f"l{i}.w"] = (a, f)
+    return out
 
 
 def prediction_forward(

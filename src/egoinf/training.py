@@ -33,6 +33,7 @@ from .layers import (
     build_prediction_net,
     ego_nll,
     prediction_forward,
+    prediction_net_shapes,
     softmax_row,
 )
 from .optim import Adagrad, mean_gradient_step
@@ -139,6 +140,17 @@ class JointModel:
             rng=stream(seed, "init", "head"),
         )
         return cls(gae=gae, head=head)
+
+    @staticmethod
+    def shapes(cfg: TrainConfig, feature_width: int) -> dict[str, tuple[int, int]]:
+        """The shape of each of ``parameters()``' matrices for a model that
+        create(cfg, feature_width, ...) builds, without building it."""
+        mc = cfg.model
+        head = prediction_net_shapes(mc.variant, mc.embed_dim + feature_width, mc.hidden, mc.heads)
+        out = {f"head.{k}": v for k, v in head.items()}
+        out["gae.w0"] = (feature_width, mc.gae_hidden)
+        out["gae.w1"] = (mc.gae_hidden, mc.embed_dim)
+        return out
 
     def parameters(self, include_gae: bool = True) -> dict[str, np.ndarray]:
         out = {f"head.{k}": v for k, v in self.head.parameters().items()}

@@ -4,7 +4,9 @@ code paths they check. Beside them: the finite-difference grad_check;
 gat_attention and random_walks, which expose library intermediates (the
 attention matrices, the walks) in the form the tests compare; and the
 recording_* inference references, which run the library's forwards on a
-recording tape, for the no-grad inference tapes to match bit for bit."""
+recording tape, for the no-grad inference tapes to match bit for bit; and
+per_graph_pretrain, the autoencoder pretraining one tape per graph, for the
+stacked pretraining to match in value."""
 import math
 
 import numpy as np
@@ -127,6 +129,11 @@ def tape_sum(tape, a):
     )
 
 
+def tape_transpose(tape, a):
+    """The transpose of a, as a node on tape."""
+    return tape._record(a.values.T.copy(), (a,), lambda g: (g.T,))
+
+
 def tape_mean(tape, a):
     """Mean of every entry of a, as a 1x1 node on tape."""
     shape, size = a.shape, a.values.size
@@ -153,7 +160,7 @@ def oracle_gat_chain(tape, layer, h, adj, slope=0.2):
         g = tape.matmul(hw, tape.slice_rows(a, fp, 2 * fp))
         scores = tape.add(
             tape.matmul(f, tape.leaf(np.ones((1, n)))),
-            tape.matmul(tape.leaf(np.ones((n, 1))), tape.transpose(g)),
+            tape.matmul(tape.leaf(np.ones((n, 1))), tape_transpose(tape, g)),
         )
         alpha = row_softmax_masked(tape, leaky_relu(tape, scores, slope), mask)
         outputs.append(tape.matmul(alpha, hw))
@@ -186,6 +193,17 @@ def oracle_layer(layer, h, adj):
 
 def oracle_sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def oracle_masked_sigmoid(x):
+    """The logistic function by boolean masks: 1/(1+exp(-x)) where x >= 0,
+    exp(x)/(1+exp(x)) elsewhere, so neither exp overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 def oracle_auc(scores, labels):
@@ -491,3 +509,47 @@ def recording_predict(model, sample, abl, vgae, cfg, store):
         logits = prediction_forward(tape, model.head, h0, fb.layout, tape.leaf(fb.a_hat))
         probs.append(softmax_row(logits.values, v.ego)[1])
     return float(np.mean(probs))
+
+
+def per_graph_pretrain_loss(tape, model, fb, noise):
+    """One graph's pretraining loss on its own tape, with its parts by name:
+    the VGAE's reconstruction plus KL (model a VgaeModel, noise its fixed
+    epsilon), or the GAE's reconstruction (noise None)."""
+    from egoinf.autoenc import gae_encode, inner_product_decode, reconstruction_ce, vgae_encode
+
+    x, a_hat = tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat)
+    if noise is None:
+        z = gae_encode(tape, model, x, a_hat)
+        ce = reconstruction_ce(tape, inner_product_decode(tape, z), fb.adjacency)
+        return ce, {"ce": float(ce.values[0, 0])}
+    z, mu, logvar = vgae_encode(tape, model, x, a_hat, noise=noise)
+    ce = reconstruction_ce(tape, inner_product_decode(tape, z), fb.adjacency)
+    kl = tape.gaussian_kl(mu, logvar)
+    return tape.add(ce, kl), {"ce": float(ce.values[0, 0]), "kld": float(kl.values[0, 0])}
+
+
+def per_graph_pretrain(model, bundles, cfg, variational):
+    """``autoenc.train_vgae`` (variational) or ``train_gae`` with one tape per
+    graph per epoch: Adagrad on the mean of the per-graph gradients, the
+    VGAE's noise drawn per graph from (seed, "vgae-eps", graph index).
+    Returns the trace: per epoch the parts' means over the graphs and their
+    sum as total."""
+    from egoinf.optim import Adagrad, mean_gradient_step
+    from egoinf.rng import stream
+
+    noise = [
+        stream(cfg.seed, "vgae-eps", gi).standard_normal((fb.n, model.d)) if variational else None
+        for gi, fb in enumerate(bundles)
+    ]
+    opt = Adagrad(model.parameters(), lr=cfg.lr, eps=cfg.adagrad_eps)
+    trace = []
+    for _ in range(cfg.epochs):
+        records = mean_gradient_step(
+            opt,
+            list(zip(bundles, noise)),
+            lambda tape, item: per_graph_pretrain_loss(tape, model, *item),
+            lambda item, exc: f"diverged: {exc}",
+        )
+        row = {key: sum(r[key] for r in records) / len(records) for key in records[0]}
+        trace.append({**row, "total": sum(row.values())})
+    return trace

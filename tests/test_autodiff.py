@@ -3,11 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from egoinf.autodiff import Tape
+from egoinf.autodiff import Tape, _sigmoid
 from egoinf.errors import ConfigError, DimensionError, NumericsError
 from egoinf.layers import EdgeLayout
 
-from .oracles import grad_check, leaky_relu, row_softmax_masked, tape_mean, tape_sum
+from .oracles import (
+    grad_check,
+    oracle_masked_sigmoid,
+    leaky_relu,
+    row_softmax_masked,
+    tape_mean,
+    tape_sum,
+    tape_transpose,
+)
 
 
 def toy(shape, seed=0):
@@ -141,17 +149,85 @@ class TestBackward:
         np.testing.assert_array_equal(t.grad(other), np.zeros((2, 2)))
 
 
+class TestSigmoid:
+    def test_branch_free_form_matches_the_masked_form_bitwise(self):
+        rng = np.random.default_rng(4)
+        special = np.array([[0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 36.0, -36.0,
+                             745.0, -745.0, 746.0, -746.0, 1e308, -1e308]])
+        for x in (special, rng.standard_normal((30, 30)) * 40, rng.standard_normal((720, 30))):
+            got, want = _sigmoid(x), oracle_masked_sigmoid(x)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def stacks(rng, blocks, n, f):
+    """A row-stack of symmetric (n, n) blocks and a (blocks*n, f) matrix."""
+    a = rng.standard_normal((blocks, n, n))
+    return (a + a.transpose(0, 2, 1)).reshape(blocks * n, n), rng.standard_normal((blocks * n, f))
+
+
+class TestBlockOps:
+    def test_block_matmul_is_each_blocks_product_bitwise(self):
+        a, h = stacks(np.random.default_rng(5), 4, 6, 3)
+        t = Tape()
+        out = t.block_matmul(t.leaf(a), t.leaf(h)).values
+        for b in range(4):
+            rows = slice(6 * b, 6 * (b + 1))
+            assert np.array_equal(out[rows], a[rows] @ h[rows])
+
+    def test_block_gram_is_each_blocks_symmetrized_gram_bitwise(self):
+        _, z = stacks(np.random.default_rng(6), 3, 5, 4)
+        t = Tape()
+        out = t.block_gram(t.leaf(z), 5).values
+        assert out.shape == (15, 5)
+        for b in range(3):
+            zb = z[5 * b : 5 * (b + 1)]
+            s = zb @ zb.T.copy()
+            block = out[5 * b : 5 * (b + 1)]
+            assert np.array_equal(block, (s + s.T.copy()) * 0.5)
+            assert np.array_equal(block, block.T)
+
+    def test_shape_errors(self):
+        t = Tape()
+        with pytest.raises(DimensionError):
+            t.block_matmul(t.leaf(np.zeros((6, 3))), t.leaf(np.zeros((3, 2))))
+        with pytest.raises(DimensionError):
+            t.block_matmul(t.leaf(np.zeros((5, 2))), t.leaf(np.zeros((5, 2))))
+        with pytest.raises(DimensionError):
+            t.block_gram(t.leaf(np.zeros((5, 2))), 2)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_gradients_pass_finite_differences(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        a, h = stacks(rng, 3, 4, 2)
+        weight = rng.standard_normal((4, 4))
+
+        def f(p):
+            t = Tape()
+            z = t.block_matmul(t.leaf(a * 0.3), t.leaf(p["h"]))
+            gram = t.block_gram(t.leaf(p["z"]), 4)
+            loss = t.add(
+                tape_sum(t, t.hadamard(z, z)),
+                tape_sum(t, t.hadamard(t.sigmoid(gram), t.leaf(np.tile(weight, (3, 1))))),
+            )
+            t.backward(loss)
+            return float(loss.values[0, 0]), {"h": t.grad(p["h"]), "z": t.grad(p["z"])}
+
+        report = grad_check(f, {"h": h, "z": rng.standard_normal((12, 3))})
+        assert report.max_rel_err < 1e-7, report
+
+
 def every_op_forward(t, x, w, mask):
     """Every primitive the models use, chained on tape t; returns the final node."""
     xt, wt = t.leaf(x), t.leaf(w)
     h = t.elu(t.matmul(xt, wt))
     h = t.add(t.hadamard(h, t.sigmoid(h)), t.relu(t.scale(h, -0.5)))
     h = t.gat_heads(h, t.leaf(np.ones((2, 3))), EdgeLayout.from_mask(mask), 3, 0.2)
-    h = t.dropout(t.exp(t.clip(t.transpose(t.transpose(h)), -5.0, 5.0)), 0.5, None)
+    h = t.dropout(t.exp(t.clip(t.block_matmul(t.leaf(mask), h), -5.0, 5.0)), 0.5, None)
     z = t.concat_cols([h, t.slice_cols(h, 0, 1)])
     kl = t.gaussian_kl(t.slice_rows(z, 0, 2), t.slice_rows(z, 2, 4))
     bce = t.bce_mean(t.sigmoid(z), np.ones(z.shape), np.ones(z.shape), np.ones(z.shape))
     head = t.add(tape_mean(t, z), tape_sum(t, t.slice_rows(z, 0, 1)))
+    head = t.add(head, t.logsumexp(t.block_gram(z, 2)))
     return t.add(head, t.add(kl, t.add(bce, t.logsumexp(z))))
 
 
@@ -188,7 +264,7 @@ def composite_loss(params, x, mask, drop=None):
     v = t.leaf(params["v"])
     h = t.elu(t.matmul(t.leaf(x), w))
     h = t.hadamard(h, t.sigmoid(h))
-    att = row_softmax_masked(t, t.matmul(h, t.transpose(h)), mask)
+    att = row_softmax_masked(t, t.matmul(h, tape_transpose(t, h)), mask)
     out = t.matmul(att, t.matmul(h, v))
     z = t.concat_cols([out, leaky_relu(t, out, 0.2)])
     z = t.slice_cols(z, 0, z.cols - 1)
@@ -318,7 +394,7 @@ class TestGradCheck:
             h = t.sigmoid(t.matmul(t.leaf(x), w))
             h = t.hadamard(h, h)
             h = t.dropout(h, 0.3, np.random.default_rng(drop_seed))
-            att = row_softmax_masked(t, t.matmul(h, t.transpose(h)), mask)
+            att = row_softmax_masked(t, t.matmul(h, tape_transpose(t, h)), mask)
             out = t.matmul(att, t.matmul(h, v))
             z = t.concat_cols([out, t.scale(out, -1.5)])
             z = t.slice_cols(z, 0, z.cols - 1)
@@ -326,7 +402,7 @@ class TestGradCheck:
             # keep the decoder away from saturation: finite differences lose
             # accuracy where log(1-p) curvature explodes, analytic grads don't
             zs = t.scale(z, 0.3)
-            pred = t.sigmoid(t.matmul(zs, t.transpose(zs)))
+            pred = t.sigmoid(t.matmul(zs, tape_transpose(t, zs)))
             target = (np.arange(pred.rows * pred.cols).reshape(pred.shape) % 2).astype(float)
             bce = t.bce_mean(pred, target, 1.0 + target, np.ones(pred.shape))
             sigma_term = tape_sum(t, t.exp(t.clip(lv, -30.0, 30.0)))

@@ -11,14 +11,18 @@ from egoinf.autoenc import (
     gae_encode,
     inner_product_decode,
     reconstruction_ce,
+    reconstruction_terms,
     train_gae,
     train_vgae,
     vgae_encode,
 )
+from egoinf.cascade import CascadeConfig, generate_dataset
+from egoinf.deepwalk import DeepWalkConfig
 from egoinf.errors import ConfigError
+from egoinf.features import FeatureBundle, FeatureStore
 from egoinf.layers import normalized_adjacency
 
-from .oracles import grad_check, one_hot_bundle
+from .oracles import grad_check, one_hot_bundle, per_graph_pretrain
 
 
 def rng_for(seed):
@@ -272,3 +276,85 @@ class TestTraining:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match=f"^{name} diverged at epoch 0: "):
                 train(model, [one_hot_bundle(adj)], pretrain_cfg(3, 0.1, 0))
+
+
+# the C5 acceptance configuration's pretraining: DeepWalk width 8, GAE
+# hidden 16, embedding 8, 40 epochs at lr 0.1
+C5_DEEPWALK = DeepWalkConfig(
+    dim=8, walks_per_node=3, walk_length=15, window=3, negatives=3, epochs=2
+)
+MODELS = {"gae": (GaeModel, train_gae), "vgae": (VgaeModel, train_vgae)}
+
+
+def c5_bundles(seed, samples=48):
+    """Bundles of C5-shaped ego graphs: 30 nodes, DeepWalk features."""
+    ds = generate_dataset(CascadeConfig(samples=samples, activation_p=0.3, seed=seed))
+    store = FeatureStore(seed, C5_DEEPWALK)
+    return [store.bundle(s) for s in ds.samples]
+
+
+def twin_models(kind, width, seed):
+    cls = MODELS[kind][0]
+    return cls.create(width, 16, 8, rng_for(seed)), cls.create(width, 16, 8, rng_for(seed))
+
+
+class TestStackedPretraining:
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_first_epoch_loss_is_the_mean_of_per_graph_losses(self, kind):
+        bundles = c5_bundles(1)
+        stacked, per_graph = twin_models(kind, bundles[0].width, 11)
+        cfg = pretrain_cfg(1, 0.1, 5)
+        _, trace = MODELS[kind][1](stacked, bundles, cfg)
+        expected = per_graph_pretrain(per_graph, bundles, cfg, kind == "vgae")
+        assert trace[0].keys() == expected[0].keys()
+        for key, value in expected[0].items():
+            assert trace[0][key] == pytest.approx(value, rel=1e-14, abs=0.0), key
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_c5_config_weights_match_the_per_graph_path(self, kind, seed):
+        bundles = c5_bundles(seed)
+        stacked, per_graph = twin_models(kind, bundles[0].width, seed)
+        cfg = pretrain_cfg(40, 0.1, seed)
+        _, trace = MODELS[kind][1](stacked, bundles, cfg)
+        expected = per_graph_pretrain(per_graph, bundles, cfg, kind == "vgae")
+        for name, arr in stacked.parameters().items():
+            np.testing.assert_allclose(arr, per_graph.parameters()[name], rtol=0, atol=1e-12)
+        for got, want in zip(trace, expected):
+            assert got["total"] == pytest.approx(want["total"], rel=1e-12)
+
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_one_tape_per_epoch(self, kind, monkeypatch):
+        from egoinf import optim
+
+        made = []
+
+        class CountingTape(optim.Tape):
+            def __init__(self, *args, **kwargs):
+                made.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(optim, "Tape", CountingTape)
+        bundles = [one_hot_bundle(toy_two_cluster_graph())] * 5
+        cls, train = MODELS[kind]
+        train(cls.create(20, 8, 4, rng_for(0)), bundles, pretrain_cfg(3, 0.1, 0))
+        assert len(made) == 3
+
+    @pytest.mark.parametrize("kind", MODELS)
+    def test_graphs_of_mixed_sizes_rejected(self, kind):
+        cls, train = MODELS[kind]
+        rng = rng_for(8)
+        small = FeatureBundle(np.zeros((5, 3)), random_graph(5, rng, p=0.9))
+        large = FeatureBundle(np.zeros((6, 3)), random_graph(6, rng, p=0.9))
+        with pytest.raises(ConfigError, match=r"graphs of \[5, 6\] nodes"):
+            train(cls.create(3, 2, 2, rng), [small, large], pretrain_cfg(1, 0.1, 0))
+
+    def test_each_graph_keeps_its_pos_weight(self):
+        rng = rng_for(9)
+        adjs = [random_graph(6, rng, p=p) for p in (0.2, 0.5, 0.9)]
+        stacked = reconstruction_terms(np.vstack(adjs))
+        for b, adj in enumerate(adjs):
+            for got, want in zip(stacked, reconstruction_terms(adj)):
+                np.testing.assert_array_equal(got[6 * b : 6 * (b + 1)], want)
+        with pytest.raises(ConfigError, match="no positive entries"):
+            reconstruction_terms(np.vstack([adjs[0], np.zeros((6, 6))]))

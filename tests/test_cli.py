@@ -275,11 +275,11 @@ def checkpoint_bytes(trained_dir):
 
 
 @pytest.fixture(scope="module")
-def model_width(trained_dir):
-    """The trained model's feature width, which its augmenter must share."""
+def model_cfg(trained_dir):
+    """The trained model's config, which decides its augmenter's sizes."""
     from egoinf.cli import load_joint_model
 
-    return feature_width(load_joint_model(trained_dir / "model.ckpt")[1].deepwalk)
+    return load_joint_model(trained_dir / "model.ckpt")[1]
 
 
 @pytest.fixture(scope="module")
@@ -294,15 +294,37 @@ def other_width_dir(tmp_path_factory, synth_dir):
     return out
 
 
-def _load_all(path, width):
+def _load_all(path, cfg):
     """Every reader of a checkpoint file; returns normally or raises."""
     from egoinf.cli import load_joint_model, load_vgae
 
     load_checkpoint(path)
     if path.name.startswith("vgae"):
-        load_vgae(path, width)
+        load_vgae(path, cfg)
     else:
         load_joint_model(path)
+
+
+def _train_seed9(out, synth_dir, *flags) -> Path:
+    """The augmenter of trained_dir's run at seed 9 under the extra flags."""
+    code = main([
+        "train", "--data", str(synth_dir / "dataset.jsonl"), "--out", str(out),
+        "--arm", "8", "--seed", "9", *FAST_TRAIN_FLAGS, *flags,
+    ])
+    assert code == 0
+    return out / "vgae.ckpt"
+
+
+@pytest.fixture(scope="module")
+def other_seed_vgae(tmp_path_factory, synth_dir):
+    return _train_seed9(tmp_path_factory.mktemp("train-seed9"), synth_dir)
+
+
+@pytest.fixture(scope="module")
+def other_sizes_vgae(tmp_path_factory, synth_dir):
+    return _train_seed9(
+        tmp_path_factory.mktemp("train-sizes"), synth_dir, "--gae-hidden", "12", "--embed-dim", "2"
+    )
 
 
 def _eval_exit(synth_dir, out, model_ckpt, vgae_ckpt) -> int:
@@ -316,14 +338,14 @@ class TestHostileCheckpoints:
     @pytest.mark.parametrize("cut", [0, 3, 10, 20, 40])
     @pytest.mark.parametrize("name", ["model.ckpt", "vgae.ckpt"])
     def test_truncated_checkpoint_is_data_error(
-        self, checkpoint_bytes, model_width, tmp_path, name, cut
+        self, checkpoint_bytes, model_cfg, tmp_path, name, cut
     ):
         from egoinf.errors import DataError
 
         path = tmp_path / name
         path.write_bytes(checkpoint_bytes[name][:cut])
         with pytest.raises(DataError):
-            _load_all(path, model_width)
+            _load_all(path, model_cfg)
 
     def test_truncated_checkpoint_exits_3(self, synth_dir, trained_dir, checkpoint_bytes, tmp_path):
         cut = tmp_path / "model.ckpt"
@@ -334,23 +356,32 @@ class TestHostileCheckpoints:
         ])
         assert code == 3
 
-    def test_vgae_shapes_checked_against_metadata(self, trained_dir, model_width, tmp_path):
+    def test_vgae_shapes_checked_against_model_config(self, trained_dir, model_cfg, tmp_path):
+        from dataclasses import replace
+
         from egoinf.cli import load_vgae
         from egoinf.errors import DataError
 
         mats, meta = load_checkpoint(trained_dir / "vgae.ckpt")
-        assert load_vgae(trained_dir / "vgae.ckpt", model_width).in_width == meta["in_width"]
-        for bad_meta, bad_mats in (
-            ({**meta, "hidden": meta["hidden"] + 1}, mats),
-            (meta, {**mats, "w1_mu": mats["w1_mu"][:, 1:]}),
-            (meta, {k: v for k, v in mats.items() if k != "w1_logvar"}),
-            ({**meta, "embed_dim": "4"}, mats),
-            ({**meta, "hidden": 2**40}, mats),  # 64 TiB to allocate
+        vgae = load_vgae(trained_dir / "vgae.ckpt", model_cfg)
+        assert (vgae.in_width, vgae.w0.shape[1], vgae.d) == (
+            feature_width(model_cfg.deepwalk), model_cfg.model.gae_hidden, model_cfg.model.embed_dim
+        )
+        # the file's size fields are not read: the model's config decides
+        path = tmp_path / "vgae.ckpt"
+        save_checkpoint(path, mats, {**meta, "hidden": 2**40, "embed_dim": "4"})
+        load_vgae(path, model_cfg)
+        for bad_mats in (
+            {**mats, "w1_mu": mats["w1_mu"][:, 1:]},
+            {k: v for k, v in mats.items() if k != "w1_logvar"},
         ):
-            path = tmp_path / "vgae.ckpt"
-            save_checkpoint(path, bad_mats, bad_meta)
+            save_checkpoint(path, bad_mats, meta)
             with pytest.raises(DataError):
-                load_vgae(path, model_width)
+                load_vgae(path, model_cfg)
+        mc = model_cfg.model
+        for other in (replace(mc, gae_hidden=mc.gae_hidden + 1), replace(mc, embed_dim=2**40)):
+            with pytest.raises(DataError, match="matrix 'w"):
+                load_vgae(trained_dir / "vgae.ckpt", replace(model_cfg, model=other))
 
     def test_model_config_disagreeing_with_its_matrices_exits_3(
         self, synth_dir, trained_dir, tmp_path, capsys, no_features
@@ -386,8 +417,42 @@ class TestHostileCheckpoints:
         save_checkpoint(bad, mats, meta)
         assert _eval_exit(synth_dir, tmp_path / "e", bad, trained_dir / "vgae.ckpt") == 3
         err = capsys.readouterr().err
-        assert "data error" in err and "bad model configuration in checkpoint" in err
+        assert "data error" in err and f"matrix 'gae.w0' is (8, 6), not (8, {2**40})" in err
         assert not (tmp_path / "e").exists()
+
+    def test_model_sizes_are_compared_before_anything_is_allocated(self, trained_dir, tmp_path):
+        import tracemalloc
+
+        from egoinf.cli import load_joint_model
+        from egoinf.errors import DataError
+
+        mats, meta = load_checkpoint(trained_dir / "model.ckpt")
+        meta["train"]["model"]["gae_hidden"] = 2**21  # 128 MiB for gae.w0 alone
+        bad = tmp_path / "model.ckpt"
+        save_checkpoint(bad, mats, meta)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="matrix 'gae.w0' is"):
+                load_joint_model(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_vgae_of_other_sizes_exits_3_before_deepwalk(
+        self, synth_dir, trained_dir, other_sizes_vgae, tmp_path, capsys, no_features
+    ):
+        model = trained_dir / "model.ckpt"
+        assert _eval_exit(synth_dir, tmp_path / "e", model, other_sizes_vgae) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and "matrix 'w0' is (8, 12), not (8, 6)" in err
+        assert not (tmp_path / "e").exists()
+
+    def test_vgae_of_another_seed_is_accepted(
+        self, synth_dir, trained_dir, other_seed_vgae, tmp_path
+    ):
+        model = trained_dir / "model.ckpt"
+        assert _eval_exit(synth_dir, tmp_path / "e", model, other_seed_vgae) == 0
 
     def test_model_arm_true_is_data_error(self, trained_dir, tmp_path):
         from egoinf.errors import DataError
@@ -432,7 +497,7 @@ class TestHostileCheckpoints:
         ),
     )
     def test_damaged_checkpoint_raises_only_data_error(
-        self, checkpoint_bytes, model_width, tmp_path, name, cut, flips
+        self, checkpoint_bytes, model_cfg, tmp_path, name, cut, flips
     ):
         from egoinf.errors import DataError
 
@@ -444,7 +509,7 @@ class TestHostileCheckpoints:
         path = tmp_path / name
         path.write_bytes(bytes(raw))
         try:
-            _load_all(path, model_width)
+            _load_all(path, model_cfg)
         except DataError:
             pass
 

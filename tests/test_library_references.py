@@ -6,6 +6,12 @@ body. A reference is a ``Name`` or ``Attribute`` node, an ``import from``
 alias, or an identifier inside a string constant other than a docstring
 (``perfbench/tracing.py`` names its targets as strings). Dunder names are
 exempt; the library keeps no other exemption.
+
+``Tape`` methods share their names with ndarray attributes and numpy
+functions (``clip``, ``exp``, ``add``), so for them only a reference through
+a receiver that holds a tape counts: a name ``tape`` (what the library
+calls every tape variable), ``self`` inside ``Tape``, or a string
+``Tape.<method>``.
 """
 import ast
 import re
@@ -18,6 +24,9 @@ CALLERS = (LIBRARY, ROOT / "perfbench")
 ALLOWED: set[str] = set()
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# class whose methods are resolved by receiver -> the name its instances go by
+RECEIVERS = {"Tape": "tape"}
+_QUALIFIED = re.compile(r"\b(" + "|".join(RECEIVERS) + r")\.([A-Za-z_][A-Za-z0-9_]*)")
 
 
 def _docstrings(tree: ast.AST) -> set[int]:
@@ -34,29 +43,51 @@ def _docstrings(tree: ast.AST) -> set[int]:
 
 
 def references(tree: ast.AST, docstrings: set[int]) -> Counter:
-    """Identifiers referenced anywhere under tree, with multiplicity."""
+    """Identifiers referenced anywhere under tree, with multiplicity; a
+    method of a RECEIVERS class referenced through its receiver also counts
+    as '<class>.<method>'."""
     seen: Counter = Counter()
+    receivers = {name: cls for cls, name in RECEIVERS.items()}
     for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name in RECEIVERS:
+            seen.update(f"{node.name}.{attr}" for attr in _self_references(node))
         if isinstance(node, ast.Name):
             seen[node.id] += 1
         elif isinstance(node, ast.Attribute):
             seen[node.attr] += 1
+            if isinstance(node.value, ast.Name) and node.value.id in receivers:
+                seen[f"{receivers[node.value.id]}.{node.attr}"] += 1
         elif isinstance(node, ast.ImportFrom):
             seen.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if id(node) not in docstrings:
                 seen.update(_IDENT.findall(node.value))
+                seen.update(".".join(m) for m in _QUALIFIED.findall(node.value))
     return seen
 
 
+def _self_references(cls: ast.ClassDef) -> list[str]:
+    """Attributes the class's body reads through ``self``."""
+    return [
+        node.attr
+        for node in ast.walk(cls)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ]
+
+
 def _definitions(tree: ast.Module):
-    """Top-level functions and classes, and the methods of top-level classes."""
+    """Top-level functions and classes, and the methods of top-level
+    classes, each with the key its references count under."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if isinstance(node, kinds):
-            yield node
+            yield node, node.name
         if isinstance(node, ast.ClassDef):
-            yield from (m for m in node.body if isinstance(m, kinds))
+            for m in node.body:
+                if isinstance(m, kinds):
+                    yield m, f"{node.name}.{m.name}" if node.name in RECEIVERS else m.name
 
 
 def unreferenced(library: Path, callers) -> list[str]:
@@ -75,11 +106,11 @@ def unreferenced(library: Path, callers) -> list[str]:
     for path, tree in parsed.items():
         if library not in path.parents:
             continue
-        for node in _definitions(tree):
+        for node, key in _definitions(tree):
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            if total[name] - references(node, docstrings)[name] == 0:
+            if total[key] - references(node, docstrings)[key] == 0:
                 found.append(f"{path.stem}.{name}")
     return sorted(found)
 
@@ -101,3 +132,22 @@ def test_guard_sees_a_definition_that_only_its_own_body_names(tmp_path):
         "TARGETS = ('Holder.method', 'by_string')\n"
     )
     assert unreferenced(lib, [lib]) == ["mod.recursive", "mod.unused_doc"]
+
+
+def test_guard_resolves_tape_methods_by_receiver(tmp_path):
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    (lib / "mod.py").write_text(
+        "import numpy as np\n\n"
+        "class Tape:\n"
+        "    def clip(self):\n        pass\n\n"
+        "    def exp(self):\n        pass\n\n"
+        "    def leaf(self):\n        return self._record()\n\n"
+        "    def _record(self):\n        pass\n\n"
+        "    def backward(self):\n        pass\n\n"
+        "def caller(tape, arr):\n"
+        "    tape.leaf()\n"
+        "    return np.clip(arr, 0, 1), arr.exp()\n\n"
+        "TARGETS = ('Tape.backward', 'caller')\n"
+    )
+    assert unreferenced(lib, [lib]) == ["mod.clip", "mod.exp"]

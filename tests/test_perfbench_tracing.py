@@ -5,6 +5,8 @@ benchmark run; these tests make it fail here first."""
 import importlib
 import importlib.util
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -110,3 +112,17 @@ def test_augmentation_counters_match_the_copies():
     assert counts["augment.copies"] == cfg.count == len(copies)
     assert counts["augment.added_edges"] == gained
     assert counts["augment.candidate_slots"] == cfg.count * candidates
+
+
+def test_benchmark_selftest_passes():
+    # the self-test checks each workload's call counts against its
+    # arithmetic, so a change to a gated count fails here, not only in a
+    # traced benchmark run
+    done = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=TRACING.parents[1],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]

@@ -83,6 +83,13 @@ class TestArmTable:
             AblationConfig.from_arm(arm)
 
 
+@pytest.mark.parametrize("variant,heads", [("gat", 2), ("gat", 4), ("gcn", 3)])
+def test_model_shapes_match_the_built_model(variant, heads):
+    cfg = replace(TrainConfig(), model=replace(TINY_MODEL, variant=variant, heads=heads, hidden=12))
+    built = JointModel.create(cfg, feature_width=7, seed=0).parameters(include_gae=True)
+    assert JointModel.shapes(cfg, 7) == {name: arr.shape for name, arr in built.items()}
+
+
 class TestTrainJoint:
     def test_zero_lr_freezes_parameters_and_trace(self):
         cfg = tiny_config(lr=0.0, dropout=0.0, epochs=4)
