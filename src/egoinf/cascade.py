@@ -9,14 +9,14 @@ neighbour and can never activate; the rest face genuine influence
 pressure. That keeps the task graph-structural but not trivial.
 
 Draws: in each round the frontier nodes go in ascending order, and each
-takes one ``rng.random(k)`` for its k still-inactive neighbours (read from
-``UndirectedGraph.neighbors``, ascending). That call reads the stream's
-words exactly as k scalar draws would, one per edge check. It is exact
-because a node's neighbours are distinct: each draw can only activate its
-own neighbour, so which neighbours draw is fixed before the node's first
-draw. The generator therefore ends where a per-edge loop leaves it, and
-the same stream then picks the ego. ``CascadeConfig`` rejects settings the
-generator cannot honour before any graph is built.
+checks its still-inactive neighbours (``UndirectedGraph.neighbors``,
+ascending), one uniform per check. A node joins the frontier once, so
+``cascade_rounds`` draws the sum of the degrees in one call, reads them in
+order, restores the generator and draws the count it read: ``random(k)``
+reads what k scalar draws read, so the generator ends where a per-edge
+loop leaves it, and the same stream then picks the ego.
+``CascadeConfig`` rejects settings the generator cannot honour before any
+graph is built.
 """
 from __future__ import annotations
 
@@ -90,21 +90,25 @@ def cascade_rounds(
         if not (0 <= s < g.n):
             raise ConfigError(f"seed {s} out of range")
         rounds[s] = 0
+    saved = rng.bit_generator.state
+    draws = rng.random(sum(map(len, neighbors))).tolist()
+    used = 0
     frontier = seeds
     r = 0
     while frontier:
         r += 1
         newly: list[int] = []
         for u in frontier:
-            inactive = [v for v in neighbors[u] if rounds[v] == -1]
-            if not inactive:
-                continue
-            for v, x in zip(inactive, rng.random(len(inactive)).tolist()):
-                if x < p:
-                    rounds[v] = r
-                    newly.append(v)
+            for v in neighbors[u]:
+                if rounds[v] == -1:
+                    if draws[used] < p:
+                        rounds[v] = r
+                        newly.append(v)
+                    used += 1
         newly.sort()
         frontier = newly
+    rng.bit_generator.state = saved
+    rng.random(used)
     return np.array(rounds, dtype=np.int64)
 
 

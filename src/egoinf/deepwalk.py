@@ -16,9 +16,10 @@ node at once: with G = T * sigmoid(W_in W_out^T) - P, the per-node summed
 gradients are G W_out and G^T W_in, divided by each node's row and column
 appearances in the step. A step costs O(n^2 * dim), which fits ego
 subgraphs of tens of nodes; graphs of thousands of nodes would want a
-sparse update. A step is about 20 numpy calls on n x n and n x dim
-arrays: P and T come from ``bincount`` as float counts, the appearances
-of all of an epoch's steps are counted before its first step, and the
+sparse update. A step is 17 numpy calls: P and T come from ``bincount`` as
+float counts, and W_in sits over W_out in one (2n, dim) array, so the two
+gradient products fill one buffer that is scaled, divided by the step's
+rows of a (steps, 2n, 1) appearance table and subtracted once each. The
 sigmoid and the updates run in place in the operation order of the plain
 expressions: 1 / (1 + exp(-x)) before the product with T, and
 (lr * gradient) / appearances. The embeddings are bit-identical to those
@@ -132,8 +133,9 @@ def deepwalk_embed(
     the n x cfg.dim input embedding matrix."""
     dim, negatives, lr = cfg.dim, cfg.negatives, cfg.lr
     n = g.n
-    w_in = (rng.random((n, dim)) - 0.5) / dim
-    w_out = np.zeros((n, dim))
+    w = np.zeros((2 * n, dim))  # W_in over W_out
+    w_in, w_out = w[:n], w[n:]
+    w_in[...] = (rng.random((n, dim)) - 0.5) / dim
 
     walks = _walk_matrix(g, cfg.walks_per_node, cfg.walk_length, rng)
     center_pos, context_pos = _pair_positions(walks.shape[1], cfg.window)
@@ -151,15 +153,18 @@ def deepwalk_embed(
     cdf, table = _negative_table(noise)
 
     # Each epoch visits the pairs in a fresh random order, `batch` at a time.
-    # Position i of that order falls in step i // batch; step_rows[i] is that
-    # step's row offset in a (steps, n) table of per-node appearances.
+    # Position i of that order falls in step i // batch; in_rows[i] and
+    # out_rows[i] are where that step's W_in and W_out rows start in a
+    # (steps, 2n) table of per-node appearances.
     batch = max(64, 4 * n)  # small chunks: many steps per epoch, SGD-like
     steps = -(-npairs // batch)
-    step_rows = np.arange(npairs) // batch * n
+    in_rows = np.arange(npairs) // batch * (2 * n)
+    out_rows = in_rows + n
     pos_keys = centers * n + contexts  # row-major index of (center, context)
     ones = np.ones(batch * max(negatives, 1))  # bincount weights: float counts
     grad = np.empty((n, n))
     grad_flat = grad.reshape(-1)
+    update = np.empty((2 * n, dim))
     for _ in range(cfg.epochs):
         # the draws of rng.choice(n, (npairs, negatives), p=noise), then the order
         neg = _draw_negatives(rng.random((npairs, negatives)), cdf, table)
@@ -169,17 +174,16 @@ def deepwalk_embed(
         pos = pos_keys.take(order)
         # appearances per step: a center counts in its row of P, a context
         # or a negative in its column of T
-        count_in = np.bincount(step_rows + center, minlength=steps * n)
-        count_out = np.bincount(step_rows + contexts.take(order), minlength=steps * n)
-        neg += step_rows[:, None]
-        count_out += np.bincount(neg.ravel(), minlength=steps * n)
+        counts = np.bincount(in_rows + center, minlength=steps * 2 * n)
+        counts += np.bincount(out_rows + contexts.take(order), minlength=steps * 2 * n)
+        neg += out_rows[:, None]
+        counts += np.bincount(neg.ravel(), minlength=steps * 2 * n)
         # from here on neg holds the row-major index of (center, negative)
         center *= n
-        center -= step_rows
+        center -= out_rows
         neg += center[:, None]
         neg = neg.ravel()
-        count_in = np.maximum(count_in, 1).astype(np.float64).reshape(steps, n, 1)
-        count_out = np.maximum(count_out, 1).astype(np.float64).reshape(steps, n, 1)
+        counts = np.maximum(counts, 1).astype(np.float64).reshape(steps, 2 * n, 1)
         for step in range(steps):
             lo, hi = step * batch, (step + 1) * batch
             p_keys = pos[lo:hi]
@@ -200,15 +204,12 @@ def deepwalk_embed(
             np.reciprocal(grad_flat, out=grad_flat)
             grad_flat *= t
             grad_flat -= p
-            grad_in = np.dot(grad, w_out)
-            grad_out = np.dot(grad.T, w_in)
+            np.dot(grad, w_out, out=update[:n])
+            np.dot(grad.T, w_in, out=update[n:])
             # (lr * summed gradient) / appearances, so a node's step stays
             # bounded by lr regardless of its frequency
-            grad_in *= lr
-            grad_in /= count_in[step]
-            w_in -= grad_in
-            grad_out *= lr
-            grad_out /= count_out[step]
-            w_out -= grad_out
+            update *= lr
+            update /= counts[step]
+            w -= update
         del neg, pos, order, center  # free before the next epoch's draws
     return w_in

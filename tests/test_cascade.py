@@ -11,7 +11,7 @@ from egoinf.cascade import CascadeConfig, cascade_rounds, generate_dataset
 from egoinf.errors import ConfigError, DataError
 from egoinf.graphs import UndirectedGraph, save_dataset, validate_sample
 from egoinf.rng import stream
-from egoinf.sampling import rwr_sample
+from egoinf.sampling import _BLOCK, _PhiloxWords, rwr_sample
 from .oracles import oracle_candidate_egos, oracle_cascade_rounds, oracle_rwr_sample
 
 
@@ -139,9 +139,22 @@ MODELS = {
 }
 
 
-@pytest.mark.parametrize("model", sorted(MODELS))
+# full size: the default (C5) dataset, and the settings of the benchmark's
+# arm2-warm workload, whose walks move half the time; their walks read
+# more words than one block holds
+PINNED = {
+    **MODELS,
+    "c5-default": ({}, "8b8e6625fc8077249f5008881846df8ed6c8ad8dcc91d3ccbb44008bce7a9fac"),
+    "arm2-warm": (
+        dict(n_target=50, restart_p=0.5, activation_p=0.3, samples=90, seed=41),
+        "87dc9bcfc6d256ece83264c4aa10558b8e0cb240c3993b7502aec46aa47290f2",
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(PINNED))
 def test_generated_bytes_are_pinned(tmp_path, model):
-    fields, digest = MODELS[model]
+    fields, digest = PINNED[model]
     path = tmp_path / "d.jsonl"
     save_dataset(generate_dataset(CascadeConfig(**fields)), path)
     data = path.read_bytes() + Path(str(path) + ".splits.json").read_bytes()
@@ -219,6 +232,86 @@ class TestDrawsMatchPerEdgeOracle:
             assert a.influence_state.dtype == b.influence_state.dtype
         assert got.splits == want.splits
         assert got.metadata == want.metadata
+
+
+# each bound from a fresh stream and from one holding a pending half word;
+# 2**31 + 1 and 3 * 2**30 reject about half and a quarter of their draws
+BOUNDS = [1, 2, 3, 7, 10, 1000, 2**31 + 1, 3 * 2**30, 2**32 - 1]
+
+
+class TestPhiloxWords:
+    """The walk's word-level reads equal Generator.random and
+    Generator.integers call by call, and close() leaves the generator
+    where those calls leave it."""
+
+    @pytest.mark.parametrize("pending", [False, True])
+    @pytest.mark.parametrize("k", BOUNDS)
+    def test_bounded_draws_match_integers(self, k, pending):
+        rng, ref = stream(k, "words"), stream(k, "words")
+        if pending:  # each keeps its word's high half for the next bounded draw
+            rng.integers(7)
+            ref.integers(7)
+        assert rng.bit_generator.state["has_uint32"] == pending
+        words = _PhiloxWords(rng, _BLOCK)
+        got = [words.integers(k) for _ in range(300)]
+        words.close()
+        assert got == [int(ref.integers(k)) for _ in range(300)]
+        assert generator_state(rng) == generator_state(ref)
+
+    @pytest.mark.parametrize("k", [3, 7, 2**31 + 1, 2**32 - 1])
+    def test_rejection_threshold_is_exact(self, k):
+        # Philox hands out its buffered words first, so a state can feed
+        # chosen halves: each draw's low half leaves threshold - 1 (rejected),
+        # its high half threshold (kept); k is odd, so k has an inverse
+        threshold = (2**32 - k) % k
+        low, high = ((t * pow(k, -1, 2**32)) % 2**32 for t in (threshold - 1, threshold))
+        rng, ref = stream(k, "words"), stream(k, "words")
+        for g in (rng, ref):
+            state = g.bit_generator.state
+            state["buffer"] = np.full(4, low | high << 32, dtype=np.uint64)
+            state["buffer_pos"] = 0
+            g.bit_generator.state = state
+        words = _PhiloxWords(rng, _BLOCK)
+        got = [words.integers(k) for _ in range(4)]
+        words.close()
+        assert got == [int(ref.integers(k)) for _ in range(4)] == [high * k >> 32] * 4
+        assert generator_state(rng) == generator_state(ref)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 64])
+    def test_mixed_reads_top_up_their_block(self, block):
+        # more reads than the block holds, so each run draws several blocks
+        reads = stream(block, "reads").integers(0, 3, size=400).tolist()
+        rng, ref = stream(block, "words"), stream(block, "words")
+        words = _PhiloxWords(rng, block)
+        calls = {
+            0: (words.random, ref.random),
+            1: (lambda: words.integers(10), lambda: int(ref.integers(10))),
+            2: (lambda: words.integers(2**31 + 1), lambda: int(ref.integers(2**31 + 1))),
+        }
+        for r in reads:
+            got, want = calls[r]
+            assert got() == want()
+        words.close()
+        assert generator_state(rng) == generator_state(ref)
+
+    def test_walk_refuses_other_bit_generators(self):
+        # MT19937 makes a double from two 32-bit outputs, not one word
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(ConfigError, match="Philox"):
+            rwr_sample(path_graph(4), 0, 3, restart_p=0.5, rng=rng)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    def test_cascade_rounds_on_other_bit_generators(self, bit_generator):
+        # random(k) reads as k scalar draws do on any bit generator
+        g = cascade.build_base_graph(CascadeConfig(**MODELS["watts_strogatz"][0]))
+        for key in range(10):
+            seeds = stream(key, "seeds").choice(g.n, size=12, replace=False)
+            rng = np.random.Generator(bit_generator(key))
+            ref = np.random.Generator(bit_generator(key))
+            np.testing.assert_array_equal(
+                cascade_rounds(g, seeds, 0.3, rng), oracle_cascade_rounds(g, seeds, 0.3, ref)
+            )
+            assert generator_state(rng) == generator_state(ref)
 
 
 class TestConfigValidation:
