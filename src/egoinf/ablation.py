@@ -6,6 +6,7 @@ are paired comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -162,24 +163,35 @@ def check_run_seeds(seeds: list[int]) -> None:
         check_seed(seed, "run seeds")
 
 
-def run_ablation(
-    dataset: Dataset, cfg: TrainConfig, arms: list[AblationConfig], seeds: list[int]
-) -> MetricsReport:
-    """Run every arm with the same seed list; seeds must be distinct. Per
-    seed the arms share one FeatureStore and one pretrained augmenter,
-    whose training reads no arm switch."""
-    if not arms:
-        raise ConfigError("run_ablation: no arms given")
+def seed_contexts(
+    dataset: Dataset, cfg: TrainConfig, seeds: list[int], augments: bool
+) -> Iterator[tuple[int, list[EgoSample], FeatureStore, VgaeModel | None]]:
+    """Per run seed, after checking the seeds and both splits: the seed, the
+    train split, and the one FeatureStore and pretrained augmenter (None
+    unless ``augments``) that every run of the seed shares; pretraining
+    reads no arm switch or augmentation field."""
     check_run_seeds(seeds)
     train_samples = train_split(dataset)
     dataset.split_samples("test")  # an empty test split fails before any work
-    augments = any(abl.train_aug or abl.test_aug for abl in arms)
-    records: list[RunRecord] = []
     for seed in seeds:
         store = FeatureStore(seed, cfg.deepwalk)
         vgae = None
         if augments:
             vgae = pretrain_augmenter(train_samples, run_config_with_seed(cfg, seed), store, seed)
+        yield seed, train_samples, store, vgae
+
+
+def run_ablation(
+    dataset: Dataset, cfg: TrainConfig, arms: list[AblationConfig], seeds: list[int]
+) -> MetricsReport:
+    """Run every arm with the same seed list; seeds must be distinct. Per
+    seed the arms share one FeatureStore and one pretrained augmenter
+    (``seed_contexts``)."""
+    if not arms:
+        raise ConfigError("run_ablation: no arms given")
+    augments = any(abl.train_aug or abl.test_aug for abl in arms)
+    records: list[RunRecord] = []
+    for seed, _, store, vgae in seed_contexts(dataset, cfg, seeds, augments):
         for abl in arms:
             records.append(run_arm(dataset, cfg, abl, seed, store=store, vgae=vgae))
     return MetricsReport(records=records)

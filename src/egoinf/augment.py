@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autodiff import Tape
-from .autoenc import VgaeModel, inner_product_decode, vgae_encode
+from .autoenc import VgaeModel, stacked_decode, vgae_encode
 from .errors import ConfigError
 from .features import FeatureBundle
 from .graphs import EgoSample, UndirectedGraph
@@ -38,8 +38,8 @@ def edge_probabilities(vgae: VgaeModel, fb: FeatureBundle) -> np.ndarray:
     sample's bundle: a read-only symmetric n x n array, entries in (0, 1),
     diagonal unused."""
     tape = Tape(grad=False)
-    z, _, _ = vgae_encode(tape, vgae, tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat))
-    probs = inner_product_decode(tape, z).values
+    z, _, _ = vgae_encode(tape, vgae, fb)
+    probs = stacked_decode(tape, z, fb.n).values
     probs.flags.writeable = False
     return probs
 

@@ -5,11 +5,12 @@ and an inner-product decoder sigmoid(Z Z^T). The VGAE shares W0 between its
 mean and log-variance heads and samples Z by reparameterization during
 training; in eval mode Z is the mean.
 
-Pretraining stacks the training graphs, which share one size n, by rows:
-features (B*n, f), normalized adjacencies and decoded probabilities
-(B*n, n). Each epoch is one tape over the stack; only the products with
-each graph's adjacency and the decoder work block by block
-(``Tape.block_matmul``, ``Tape.block_gram``). One graph is a stack of one.
+The encoders and the reconstruction loss take one graph argument: a
+``FeatureBundle`` or pretraining's row-stack of equal-size bundles under
+the same field names, one graph being a stack of one. Each epoch of
+pretraining is one tape over the stack; only the products with each
+graph's adjacency and the decoder work block by block
+(``Tape.block_matmul``, ``Tape.block_gram``).
 """
 from __future__ import annotations
 
@@ -75,23 +76,20 @@ class VgaeModel:
         return {"w0": self.w0, "w1_mu": self.w1_mu, "w1_logvar": self.w1_logvar}
 
 
-def gae_encode(tape: Tape, m: GaeModel, x: Tensor, a_hat: Tensor) -> Tensor:
-    """Z for one graph, or for a stack of equal-size graphs laid out by rows:
-    x (B*n, f) and a_hat (B*n, n) (see ``Tape.block_matmul``)."""
+def gae_encode(tape: Tape, m: GaeModel, graphs: FeatureBundle | _Stack) -> Tensor:
+    """Z for one bundle, or for a row-stack of equal-size bundles."""
+    x, a_hat = tape.leaf(graphs.encoder_input), tape.leaf(graphs.a_hat)
     hidden = tape.relu(tape.matmul(tape.block_matmul(a_hat, x), tape.leaf(m.w0)))
     return tape.matmul(tape.block_matmul(a_hat, hidden), tape.leaf(m.w1))
 
 
 def vgae_encode(
-    tape: Tape,
-    m: VgaeModel,
-    x: Tensor,
-    a_hat: Tensor,
-    noise: np.ndarray | None = None,
+    tape: Tape, m: VgaeModel, graphs: FeatureBundle | _Stack, noise: np.ndarray | None = None
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Return (z, mu, logvar) for one graph or a stack, laid out as in
-    ``gae_encode``. noise is the standard-normal epsilon of the
-    reparameterization, shaped like mu; None means eval mode (z = mu)."""
+    """Return (z, mu, logvar) for one bundle or a row-stack. noise is the
+    standard-normal epsilon of the reparameterization, shaped like mu;
+    None means eval mode (z = mu)."""
+    x, a_hat = tape.leaf(graphs.encoder_input), tape.leaf(graphs.a_hat)
     hidden = tape.relu(tape.matmul(tape.block_matmul(a_hat, x), tape.leaf(m.w0)))
     ah = tape.block_matmul(a_hat, hidden)
     mu = tape.matmul(ah, tape.leaf(m.w1_mu))
@@ -109,33 +107,10 @@ def stacked_decode(tape: Tape, z: Tensor, n: int) -> Tensor:
     return tape.sigmoid(tape.block_gram(z, n))
 
 
-def inner_product_decode(tape: Tape, z: Tensor) -> Tensor:
-    """sigmoid(Z Z^T) of one graph: the stacked decoder on a stack of one."""
-    return stacked_decode(tape, z, z.rows)
-
-
-def reconstruction_terms(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The constant target, weights and mask of ``reconstruction_ce`` for
-    one (n, n) adjacency or B of them stacked by rows, (B*n, n). The mask
-    selects every off-diagonal entry; each graph's positives are up-weighted
-    by its own pos_weight = #off-diagonal zeros / #off-diagonal ones."""
-    target = np.asarray(adjacency, dtype=np.float64)
-    if target.ndim != 2 or not target.shape[1] or target.shape[0] % target.shape[1]:
-        raise ConfigError(f"reconstruction_ce: target {target.shape} is no stack of square blocks")
-    n = target.shape[1]
-    mask = np.tile(1.0 - np.eye(n), (target.shape[0] // n, 1))
-    ones = (target * mask).reshape(-1, n * n).sum(axis=1)
-    if not ones.all():
-        raise ConfigError("reconstruction_ce: target has no positive entries; pos_weight undefined")
-    pos_weight = (n * (n - 1) - ones) / ones
-    weights = np.where(target > 0, pos_weight.repeat(n)[:, None], 1.0)
-    return target, weights, mask
-
-
-def reconstruction_ce(tape: Tape, m: Tensor, a_target: np.ndarray) -> Tensor:
-    """Mean weighted binary cross-entropy between decoded probabilities and
-    the adjacency over all off-diagonal entries (``reconstruction_terms``)."""
-    return tape.bce_mean(m, *reconstruction_terms(a_target))
+def reconstruction_ce(tape: Tape, z: Tensor, graphs: FeatureBundle | _Stack) -> Tensor:
+    """Mean weighted binary cross-entropy between each graph's decoded
+    probabilities and its adjacency off the diagonal (``recon_terms``)."""
+    return tape.bce_mean(stacked_decode(tape, z, graphs.n), *graphs.recon_terms)
 
 
 @dataclass
@@ -147,12 +122,12 @@ class AutoencTrainConfig:
 
 
 class _Stack(NamedTuple):
-    """Equal-size graphs' bundles stacked by rows, built once per fit."""
+    """Equal-size bundles stacked by rows once per fit, under their field names."""
 
     n: int  # nodes per graph
-    x: np.ndarray  # (B*n, width) encoder inputs
+    encoder_input: np.ndarray  # (B*n, width)
     a_hat: np.ndarray  # (B*n, n) normalized adjacencies
-    terms: tuple  # reconstruction_terms of the (B*n, n) adjacencies
+    recon_terms: tuple  # the bundles' recon_terms, each stacked to (B*n, n)
 
 
 def _stack(bundles: list[FeatureBundle], name: str) -> _Stack:
@@ -167,7 +142,7 @@ def _stack(bundles: list[FeatureBundle], name: str) -> _Stack:
         sizes[0],
         np.vstack([fb.encoder_input for fb in bundles]),
         np.vstack([fb.a_hat for fb in bundles]),
-        reconstruction_terms(np.vstack([fb.adjacency for fb in bundles])),
+        tuple(np.vstack(part) for part in zip(*(fb.recon_terms for fb in bundles))),
     )
 
 
@@ -201,10 +176,8 @@ def train_vgae(model: VgaeModel, bundles: list[FeatureBundle], cfg: AutoencTrain
     ])
 
     def loss_of(tape, st):
-        z, mu, logvar = vgae_encode(
-            tape, model, tape.leaf(st.x), tape.leaf(st.a_hat), noise=noise
-        )
-        ce = tape.bce_mean(stacked_decode(tape, z, st.n), *st.terms)
+        z, mu, logvar = vgae_encode(tape, model, st, noise=noise)
+        ce = reconstruction_ce(tape, z, st)
         kl = tape.gaussian_kl(mu, logvar)
         return tape.add(ce, kl), {"ce": float(ce.values[0, 0]), "kld": float(kl.values[0, 0])}
 
@@ -216,8 +189,8 @@ def train_gae(model: GaeModel, bundles: list[FeatureBundle], cfg: AutoencTrainCo
     only. Trace rows have keys ce and total."""
 
     def loss_of(tape, st):
-        z = gae_encode(tape, model, tape.leaf(st.x), tape.leaf(st.a_hat))
-        ce = tape.bce_mean(stacked_decode(tape, z, st.n), *st.terms)
+        z = gae_encode(tape, model, st)
+        ce = reconstruction_ce(tape, z, st)
         return ce, {"ce": float(ce.values[0, 0])}
 
     return _fit(model, _stack(bundles, "GAE"), cfg, "GAE", loss_of)

@@ -26,7 +26,7 @@ from .ablation import (
     run_ablation,
     run_arm,
     score_arm,
-    train_split,
+    seed_contexts,
 )
 from .autoenc import LOGVAR_CLAMP, VgaeModel
 from .cascade import CascadeConfig, generate_dataset
@@ -40,7 +40,6 @@ from .training import (
     JointModel,
     TrainConfig,
     augmented_copies,
-    pretrain_augmenter,
     run_config_with_seed,
 )
 
@@ -312,17 +311,12 @@ def do_sweep(config: dict, out: Path) -> None:
         dataclasses.replace(cfg, aug=dataclasses.replace(cfg.aug, **{mode: cast(v)}))
         for v in grid
     ]
-    train_samples = train_split(dataset)
-    dataset.split_samples("test")  # an empty test split fails before any work
 
     rows = []
-    for seed in config["seeds"]:
-        # pretraining reads no augmentation field, so every grid point shares it
-        store = FeatureStore(seed, cfg.deepwalk)
-        vgae = pretrain_augmenter(train_samples, run_config_with_seed(cfg, seed), store, seed)
+    for seed, train, store, vgae in seed_contexts(dataset, cfg, config["seeds"], augments=True):
         for value, cfg_point in zip(grid, points):
             aug = run_config_with_seed(cfg_point, seed).aug
-            pct = _augmentation_edge_stats(train_samples, vgae, aug, store)
+            pct = _augmentation_edge_stats(train, vgae, aug, store)
             record = run_arm(dataset, cfg_point, abl, seed, store=store, vgae=vgae)
             rows.append({"mode": mode, "value": value, "run_seed": seed, "auc": record.auc,
                          "f1": record.f1, "added_edge_pct": pct})

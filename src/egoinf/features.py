@@ -1,19 +1,21 @@
-"""Per-sample node features and the one input every encoder reads.
+"""Per-sample node features and the one graph argument every model reads.
 
 A FeatureBundle holds a sample's encoder input, [influence | deepwalk]
-(action status, ego indicator, walk embeddings), and its adjacency; it
-derives the normalized adjacency and the attention mask's edge layout once.
-The VGAE augmenter, the GAE branch and every GAT layer of the head read
-that one bundle; the head consumes [Z | encoder input], Z from the branch
-at forward time. Bundles are cached by sample id and adjacency.
+(action status, ego indicator, walk embeddings), and its adjacency, and
+derives what the models read from them once. The VGAE augmenter, the GAE
+branch, the reconstruction loss and the head read that one bundle; the
+head consumes [Z | encoder input], Z from the branch at forward time.
+Bundles are cached by sample id and adjacency.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .deepwalk import DeepWalkConfig, deepwalk_embed
+from .errors import ConfigError
 from .graphs import EgoSample
 from .layers import EdgeLayout, attention_layout, normalized_adjacency
 from .rng import stream
@@ -28,11 +30,33 @@ def influence_features(s: EgoSample) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _off_diagonal(n: int) -> np.ndarray:
+    mask = 1.0 - np.eye(n)
+    mask.flags.writeable = False
+    return mask
+
+
+def reconstruction_terms(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reconstruction loss's constant target, weights and mask: the mask
+    selects every off-diagonal entry, and the weights scale the positives
+    by pos_weight = #off-diagonal zeros / #off-diagonal ones."""
+    target = np.asarray(adjacency, dtype=np.float64)
+    n = target.shape[0]
+    mask = _off_diagonal(n)
+    ones = (target * mask).sum()
+    if not ones:
+        raise ConfigError("reconstruction_ce: target has no positive entries; pos_weight undefined")
+    weights = np.where(target > 0, (n * (n - 1) - ones) / ones, 1.0)
+    return target, weights, mask
+
+
 @dataclass(frozen=True)
 class FeatureBundle:
-    """The one input of every encoder: per-node features and the 0/1
-    adjacency. The normalized adjacency and the attention layout are
-    derived from the adjacency once, when the bundle is built."""
+    """The one graph argument of every model: per-node features and the 0/1
+    adjacency. The normalized adjacency and attention layout are derived
+    once, when it is built; the reconstruction terms once, when first read,
+    so a bundle of an edgeless graph can still be scored."""
 
     encoder_input: np.ndarray  # n x width, [influence | deepwalk]
     adjacency: np.ndarray  # n x n 0/1
@@ -50,6 +74,10 @@ class FeatureBundle:
     @property
     def width(self) -> int:
         return self.encoder_input.shape[1]
+
+    @functools.cached_property
+    def recon_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return reconstruction_terms(self.adjacency)
 
 
 def feature_width(dw: DeepWalkConfig) -> int:

@@ -15,20 +15,23 @@ one ``Tape.gat_heads`` node that computes every head at once; the head
 adds one ELU node after each hidden layer. Attention scores and their
 softmax cost O(H*E) over the E edges of the attention mask (neighbours
 plus self); the aggregation multiplies a dense (H, n, n) coefficient
-array with BLAS. The mask's edge layout (``EdgeLayout``) is built once
-per feature bundle, and the head's three layers and their backward all
-read that one layout.
+array with BLAS. The head reads its graph from the sample's feature
+bundle: its three GAT layers and their backward read the bundle's one
+edge layout (``EdgeLayout``), and a GCN layer its normalized adjacency.
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .autodiff import Tape, Tensor
 from .errors import ConfigError, DimensionError
+
+if TYPE_CHECKING:  # features imports this module
+    from .features import FeatureBundle
 
 LEAKY_SLOPE = 0.2  # negative slope inside attention scores
 
@@ -161,7 +164,7 @@ def gcn_forward(tape: Tape, layer: GcnLayer, h: Tensor, a_hat: Tensor) -> Tensor
             f"gcn_forward: features {h.shape} vs weight {layer.weight.shape}"
         )
     w = tape.leaf(layer.weight)
-    return tape.matmul(tape.matmul(a_hat, h), w)
+    return tape.matmul(tape.block_matmul(a_hat, h), w)
 
 
 @dataclass
@@ -225,22 +228,21 @@ def prediction_forward(
     tape: Tape,
     net: PredictionNet,
     h: Tensor,
-    layout: EdgeLayout,
-    a_hat: Tensor,
+    fb: FeatureBundle,
     drop_rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Run the head, ELU after every layer but the last; a GAT head attends
-    over ``layout``, a GCN head aggregates with ``a_hat``. drop_rng=None
-    disables dropout (eval mode)."""
+    """Run the head on features h of the bundle's graph, ELU after every
+    layer but the last; a GAT head attends over ``fb.layout``, a GCN head
+    aggregates with ``fb.a_hat``. drop_rng=None disables dropout (eval)."""
     x = h
     for i, layer in enumerate(net.layers):
         if i:
             x = tape.elu(x)
         x = tape.dropout(x, net.dropout, drop_rng)
         if isinstance(layer, GatLayer):
-            x = gat_forward(tape, layer, x, layout)
+            x = gat_forward(tape, layer, x, fb.layout)
         else:
-            x = gcn_forward(tape, layer, x, a_hat)
+            x = gcn_forward(tape, layer, x, tape.leaf(fb.a_hat))
     return x
 
 

@@ -10,16 +10,8 @@ from .errors import DataError
 
 def _tied_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the average of their rank block."""
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(x.size, dtype=np.float64)
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
 def auc(scores, labels) -> float:

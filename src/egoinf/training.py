@@ -20,7 +20,6 @@ from .autoenc import (
     GaeModel,
     VgaeModel,
     gae_encode,
-    inner_product_decode,
     reconstruction_ce,
     train_gae,
 )
@@ -161,14 +160,12 @@ class JointModel:
 
 def frozen_encode(gae: GaeModel, fb: FeatureBundle) -> np.ndarray:
     """Eval-mode embedding from a frozen branch, on a no-grad tape."""
-    tape = Tape(grad=False)
-    z = gae_encode(tape, gae, tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat))
-    return z.values
+    return gae_encode(Tape(grad=False), gae, fb).values
 
 
 def _forward_logits(tape, model, fb, z, drop_rng):
     h0 = tape.concat_cols([z, tape.leaf(fb.encoder_input)])
-    return prediction_forward(tape, model.head, h0, fb.layout, tape.leaf(fb.a_hat), drop_rng)
+    return prediction_forward(tape, model.head, h0, fb, drop_rng)
 
 
 def sample_loss(
@@ -184,14 +181,14 @@ def sample_loss(
     loss encodes through the branch on the tape; otherwise frozen_z is the
     frozen branch's embedding (``frozen_encode``)."""
     if joint:
-        z = gae_encode(tape, model.gae, tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat))
+        z = gae_encode(tape, model.gae, fb)
     else:
         z = tape.leaf(frozen_z)
     logits = _forward_logits(tape, model, fb, z, drop_rng)
     nll = ego_nll(tape, logits, sample.ego, sample.label)
     if not joint:
         return nll, float(nll.values[0, 0]), 0.0
-    recon = reconstruction_ce(tape, inner_product_decode(tape, z), fb.adjacency)
+    recon = reconstruction_ce(tape, z, fb)
     loss = tape.add(nll, recon)
     return loss, float(nll.values[0, 0]), float(recon.values[0, 0])
 
@@ -295,8 +292,7 @@ def predict(
     probs = []
     for v in variants:
         fb = store.bundle(v)
-        z = gae_encode(tape, model.gae, tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat))
-        logits = _forward_logits(tape, model, fb, z, drop_rng=None)
+        logits = _forward_logits(tape, model, fb, gae_encode(tape, model.gae, fb), drop_rng=None)
         probs.append(softmax_row(logits.values, v.ego))
     return average_class1(probs)
 

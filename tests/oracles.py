@@ -476,17 +476,17 @@ def recording_frozen_encode(gae, fb):
     from egoinf.autoenc import gae_encode
 
     tape = Tape()
-    return gae_encode(tape, gae, tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat)).values
+    return gae_encode(tape, gae, fb).values
 
 
 def recording_edge_probabilities(vgae, fb):
     """``augment.edge_probabilities`` on a recording tape."""
     from egoinf.autodiff import Tape
-    from egoinf.autoenc import inner_product_decode, vgae_encode
+    from egoinf.autoenc import stacked_decode, vgae_encode
 
     tape = Tape()
-    z, _, _ = vgae_encode(tape, vgae, tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat))
-    return inner_product_decode(tape, z).values
+    z, _, _ = vgae_encode(tape, vgae, fb)
+    return stacked_decode(tape, z, fb.n).values
 
 
 def recording_predict(model, sample, abl, vgae, cfg, store):
@@ -504,9 +504,9 @@ def recording_predict(model, sample, abl, vgae, cfg, store):
     for v in variants:
         fb = store.bundle(v)
         tape = Tape()
-        z = gae_encode(tape, model.gae, tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat))
+        z = gae_encode(tape, model.gae, fb)
         h0 = tape.concat_cols([z, tape.leaf(fb.encoder_input)])
-        logits = prediction_forward(tape, model.head, h0, fb.layout, tape.leaf(fb.a_hat))
+        logits = prediction_forward(tape, model.head, h0, fb)
         probs.append(softmax_row(logits.values, v.ego)[1])
     return float(np.mean(probs))
 
@@ -515,15 +515,14 @@ def per_graph_pretrain_loss(tape, model, fb, noise):
     """One graph's pretraining loss on its own tape, with its parts by name:
     the VGAE's reconstruction plus KL (model a VgaeModel, noise its fixed
     epsilon), or the GAE's reconstruction (noise None)."""
-    from egoinf.autoenc import gae_encode, inner_product_decode, reconstruction_ce, vgae_encode
+    from egoinf.autoenc import gae_encode, reconstruction_ce, vgae_encode
 
-    x, a_hat = tape.leaf(fb.encoder_input), tape.leaf(fb.a_hat)
     if noise is None:
-        z = gae_encode(tape, model, x, a_hat)
-        ce = reconstruction_ce(tape, inner_product_decode(tape, z), fb.adjacency)
+        z = gae_encode(tape, model, fb)
+        ce = reconstruction_ce(tape, z, fb)
         return ce, {"ce": float(ce.values[0, 0])}
-    z, mu, logvar = vgae_encode(tape, model, x, a_hat, noise=noise)
-    ce = reconstruction_ce(tape, inner_product_decode(tape, z), fb.adjacency)
+    z, mu, logvar = vgae_encode(tape, model, fb, noise=noise)
+    ce = reconstruction_ce(tape, z, fb)
     kl = tape.gaussian_kl(mu, logvar)
     return tape.add(ce, kl), {"ce": float(ce.values[0, 0]), "kld": float(kl.values[0, 0])}
 

@@ -24,8 +24,8 @@ from egoinf.autoenc import (
     GaeModel,
     VgaeModel,
     gae_encode,
-    inner_product_decode,
     reconstruction_ce,
+    stacked_decode,
     train_vgae,
     vgae_encode,
 )
@@ -167,8 +167,7 @@ def _fd_case_gae(rng):
     adj = random_adjacency(n, rng, p=0.6) if n > 2 else np.array([[0.0, 1.0], [1.0, 0.0]])
     if adj.sum() == 0:
         adj[0, 1] = adj[1, 0] = 1.0
-    a_hat = normalized_adjacency(adj)
-    x = rng.standard_normal((n, 3))
+    fb = FeatureBundle(rng.standard_normal((n, 3)), adj)
     model = GaeModel.create(3, 3, 2, rng)
     live = model.parameters()
 
@@ -176,8 +175,7 @@ def _fd_case_gae(rng):
         for k in live:
             live[k][...] = params[k]
         t = Tape()
-        z = gae_encode(t, model, t.leaf(x), t.leaf(a_hat))
-        loss = reconstruction_ce(t, inner_product_decode(t, z), adj)
+        loss = reconstruction_ce(t, gae_encode(t, model, fb), fb)
         t.backward(loss)
         return float(loss.values[0, 0]), {k: t.grad(v) for k, v in live.items()}
 
@@ -189,8 +187,7 @@ def _fd_case_vgae(rng):
     adj = random_adjacency(n, rng, p=0.6)
     if adj.sum() == 0:
         adj[0, 1] = adj[1, 0] = 1.0
-    a_hat = normalized_adjacency(adj)
-    x = rng.standard_normal((n, 3))
+    fb = FeatureBundle(rng.standard_normal((n, 3)), adj)
     noise = rng.standard_normal((n, 2))
     model = VgaeModel.create(3, 3, 2, rng)
     live = model.parameters()
@@ -199,10 +196,8 @@ def _fd_case_vgae(rng):
         for k in live:
             live[k][...] = params[k]
         t = Tape()
-        z, mu, logvar = vgae_encode(t, model, t.leaf(x), t.leaf(a_hat), noise=noise)
-        loss = t.add(
-            reconstruction_ce(t, inner_product_decode(t, z), adj), t.gaussian_kl(mu, logvar)
-        )
+        z, mu, logvar = vgae_encode(t, model, fb, noise=noise)
+        loss = t.add(reconstruction_ce(t, z, fb), t.gaussian_kl(mu, logvar))
         t.backward(loss)
         return float(loss.values[0, 0]), {k: t.grad(v) for k, v in live.items()}
 
@@ -292,7 +287,7 @@ def test_c2_oracle_equivalence():
 
         z = rng.standard_normal((n, 2))
         t = Tape()
-        decoded = inner_product_decode(t, t.leaf(z))
+        decoded = stacked_decode(t, t.leaf(z), n)
         worst = max(worst, np.abs(decoded.values - oracle_sigmoid(z @ z.T)).max())
 
         m = int(rng.integers(4, 20))

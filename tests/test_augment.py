@@ -58,14 +58,12 @@ class TestEdgeProbabilities:
     def test_matches_sigmoid_of_mean_inner_product(self):
         from egoinf.autodiff import Tape
         from egoinf.autoenc import vgae_encode
-        from egoinf.layers import normalized_adjacency
 
         rng = np.random.default_rng(2)
         vgae = VgaeModel.create(6, 4, 3, rng)
         s = random_sample(6, rng)
         t = Tape()
-        a_hat = normalized_adjacency(s.graph.adjacency)
-        _, mu, _ = vgae_encode(t, vgae, t.leaf(np.eye(6)), t.leaf(a_hat))
+        _, mu, _ = vgae_encode(t, vgae, one_hot_bundle(s.graph.adjacency))
         expected = 1.0 / (1.0 + np.exp(-(mu.values @ mu.values.T)))
         m = edge_probabilities(vgae, one_hot_bundle(s.graph.adjacency))
         np.testing.assert_allclose(m, expected, atol=1e-12)

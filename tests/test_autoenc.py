@@ -8,10 +8,10 @@ from egoinf.autoenc import (
     AutoencTrainConfig,
     GaeModel,
     VgaeModel,
+    _stack,
     gae_encode,
-    inner_product_decode,
     reconstruction_ce,
-    reconstruction_terms,
+    stacked_decode,
     train_gae,
     train_vgae,
     vgae_encode,
@@ -44,25 +44,25 @@ class TestGaeEncode:
         rng = rng_for(0)
         m = GaeModel.create(4, 3, 2, rng)
         t = Tape()
-        a_hat = t.leaf(normalized_adjacency(random_graph(5, rng)))
-        z = gae_encode(t, m, t.leaf(np.zeros((5, 4))), a_hat)
+        z = gae_encode(t, m, FeatureBundle(np.zeros((5, 4)), random_graph(5, rng)))
         np.testing.assert_array_equal(z.values, np.zeros((5, 2)))
 
     def test_single_node_identity_weights(self):
         m = GaeModel(w0=np.eye(1), w1=np.eye(1))
         t = Tape()
-        z = gae_encode(t, m, t.leaf(np.array([[2.5]])), t.leaf(np.array([[1.0]])))
+        z = gae_encode(t, m, FeatureBundle(np.array([[2.5]]), np.zeros((1, 1))))
         assert z.values[0, 0] == pytest.approx(2.5)
 
     def test_matches_dense_oracle(self):
         for seed in range(30):
             rng = rng_for(seed)
             n = 4
-            a_hat = normalized_adjacency(random_graph(n, rng))
+            adj = random_graph(n, rng)
+            a_hat = normalized_adjacency(adj)
             x = rng.standard_normal((n, 3))
             m = GaeModel.create(3, 4, 2, rng)
             t = Tape()
-            z = gae_encode(t, m, t.leaf(x), t.leaf(a_hat))
+            z = gae_encode(t, m, FeatureBundle(x, adj))
             expected = a_hat @ np.maximum(a_hat @ x @ m.w0, 0.0) @ m.w1
             np.testing.assert_allclose(z.values, expected, atol=1e-12)
 
@@ -70,12 +70,12 @@ class TestGaeEncode:
 class TestDecode:
     def test_zero_embedding_gives_half(self):
         t = Tape()
-        m = inner_product_decode(t, t.leaf(np.zeros((3, 2))))
+        m = stacked_decode(t, t.leaf(np.zeros((3, 2))), 3)
         np.testing.assert_array_equal(m.values, np.full((3, 3), 0.5))
 
     def test_identity_embedding(self):
         t = Tape()
-        m = inner_product_decode(t, t.leaf(np.eye(2)))
+        m = stacked_decode(t, t.leaf(np.eye(2)), 2)
         s1 = sigmoid(1.0)
         np.testing.assert_allclose(m.values, [[s1, 0.5], [0.5, s1]], atol=1e-9)
 
@@ -84,7 +84,7 @@ class TestDecode:
             rng = rng_for(seed)
             z = rng.standard_normal((5, 3))
             t = Tape()
-            m = inner_product_decode(t, t.leaf(z)).values
+            m = stacked_decode(t, t.leaf(z), 5).values
             np.testing.assert_allclose(m, sigmoid(z @ z.T), atol=1e-12)
             assert np.array_equal(m, m.T)
 
@@ -94,21 +94,23 @@ class TestReconstructionCe:
         t = Tape()
         a = random_graph(4, rng_for(1), p=0.5)
         m = t.leaf(np.where(a > 0, 1 - 1e-9, 1e-9))
-        loss = reconstruction_ce(t, m, a)
+        loss = t.bce_mean(m, *FeatureBundle(np.eye(4), a).recon_terms)
         assert loss.values[0, 0] <= 2.1e-8
 
     def test_weighted_hand_summed_value(self):
-        # 3 nodes, 1 edge: 6 off-diagonal entries, 2 positive, pos_weight = 2
+        # 3 nodes, 1 edge: 6 off-diagonal entries, 2 positive, pos_weight = 2;
+        # a zero embedding decodes to 0.5 everywhere
         t = Tape()
         a = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
-        loss = reconstruction_ce(t, t.leaf(np.full((3, 3), 0.5)), a)
+        loss = reconstruction_ce(t, t.leaf(np.zeros((3, 2))), FeatureBundle(np.eye(3), a))
         expected = (2 * 2.0 * math.log(2) + 4 * math.log(2)) / 6
         assert loss.values[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_no_positives_is_config_error(self):
         t = Tape()
+        edgeless = FeatureBundle(np.eye(3), np.zeros((3, 3)))  # building it does not raise
         with pytest.raises(ConfigError, match="pos_weight"):
-            reconstruction_ce(t, t.leaf(np.full((3, 3), 0.5)), np.zeros((3, 3)))
+            reconstruction_ce(t, t.leaf(np.zeros((3, 2))), edgeless)
 
 
 class TestKld:
@@ -142,39 +144,39 @@ class TestVgaeEncode:
     def test_eval_mode_returns_mean(self):
         rng = rng_for(3)
         m = VgaeModel.create(3, 4, 2, rng)
-        a_hat = normalized_adjacency(random_graph(5, rng))
-        x = rng.standard_normal((5, 3))
+        adj = random_graph(5, rng)
+        fb = FeatureBundle(rng.standard_normal((5, 3)), adj)
         t = Tape()
-        z, mu, _ = vgae_encode(t, m, t.leaf(x), t.leaf(a_hat))
+        z, mu, _ = vgae_encode(t, m, fb)
         np.testing.assert_array_equal(z.values, mu.values)
 
     def test_fixed_stream_reproduces_z(self):
         rng = rng_for(4)
         m = VgaeModel.create(3, 4, 2, rng)
-        a_hat = normalized_adjacency(random_graph(5, rng))
-        x = rng.standard_normal((5, 3))
+        adj = random_graph(5, rng)
+        fb = FeatureBundle(rng.standard_normal((5, 3)), adj)
         outs = []
         for _ in range(2):
             t = Tape()
             eps = np.random.default_rng(123).standard_normal((5, 2))
-            z, _, _ = vgae_encode(t, m, t.leaf(x), t.leaf(a_hat), noise=eps)
+            z, _, _ = vgae_encode(t, m, fb, noise=eps)
             outs.append(z.values)
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_sample_mean_approaches_mu(self):
         rng = rng_for(5)
         m = VgaeModel.create(3, 4, 2, rng)
-        a_hat = normalized_adjacency(random_graph(4, rng))
-        x = rng.standard_normal((4, 3))
+        adj = random_graph(4, rng)
+        fb = FeatureBundle(rng.standard_normal((4, 3)), adj)
         draws = 10_000
         acc = np.zeros((4, 2))
         noise_rng = np.random.default_rng(7)
         t0 = Tape()
-        _, mu, logvar = vgae_encode(t0, m, t0.leaf(x), t0.leaf(a_hat))
+        _, mu, logvar = vgae_encode(t0, m, fb)
         for _ in range(draws):
             t = Tape()
             eps = noise_rng.standard_normal((4, 2))
-            z, _, _ = vgae_encode(t, m, t.leaf(x), t.leaf(a_hat), noise=eps)
+            z, _, _ = vgae_encode(t, m, fb, noise=eps)
             acc += z.values
         sample_mean = acc / draws
         stderr = np.exp(0.5 * logvar.values) / math.sqrt(draws)
@@ -183,8 +185,7 @@ class TestVgaeEncode:
     def test_gradients_with_frozen_noise(self):
         rng = rng_for(6)
         adj = random_graph(4, rng)
-        a_hat = normalized_adjacency(adj)
-        x = rng.standard_normal((4, 3))
+        fb = FeatureBundle(rng.standard_normal((4, 3)), adj)
         noise = rng.standard_normal((4, 2))
         model = VgaeModel.create(3, 4, 2, rng)
         live = model.parameters()
@@ -193,11 +194,8 @@ class TestVgaeEncode:
             for name in live:
                 live[name][...] = params[name]
             t = Tape()
-            z, mu, logvar = vgae_encode(t, model, t.leaf(x), t.leaf(a_hat), noise=noise)
-            loss = t.add(
-                reconstruction_ce(t, inner_product_decode(t, z), adj),
-                t.gaussian_kl(mu, logvar),
-            )
+            z, mu, logvar = vgae_encode(t, model, fb, noise=noise)
+            loss = t.add(reconstruction_ce(t, z, fb), t.gaussian_kl(mu, logvar))
             t.backward(loss)
             return float(loss.values[0, 0]), {k: t.grad(v) for k, v in live.items()}
 
@@ -351,10 +349,11 @@ class TestStackedPretraining:
 
     def test_each_graph_keeps_its_pos_weight(self):
         rng = rng_for(9)
-        adjs = [random_graph(6, rng, p=p) for p in (0.2, 0.5, 0.9)]
-        stacked = reconstruction_terms(np.vstack(adjs))
-        for b, adj in enumerate(adjs):
-            for got, want in zip(stacked, reconstruction_terms(adj)):
-                np.testing.assert_array_equal(got[6 * b : 6 * (b + 1)], want)
+        bundles = [FeatureBundle(np.eye(6), random_graph(6, rng, p=p)) for p in (0.2, 0.5, 0.9)]
+        stacked = _stack(bundles, "GAE").recon_terms
+        for got, *parts in zip(stacked, *(fb.recon_terms for fb in bundles)):
+            np.testing.assert_array_equal(got, np.vstack(parts))
+        pos_weights = {float(fb.recon_terms[1][fb.adjacency > 0][0]) for fb in bundles}
+        assert len(pos_weights) == 3  # each graph's own
         with pytest.raises(ConfigError, match="no positive entries"):
-            reconstruction_terms(np.vstack([adjs[0], np.zeros((6, 6))]))
+            _stack([bundles[0], FeatureBundle(np.eye(6), np.zeros((6, 6)))], "GAE")

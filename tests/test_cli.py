@@ -692,13 +692,12 @@ def test_malformed_list_flag_exits_2(synth_dir, tmp_path, argv):
 
 @pytest.fixture
 def no_pretraining(monkeypatch):
-    from egoinf import ablation, cli
+    from egoinf import ablation
 
     def fail(*args, **kwargs):
         raise AssertionError("the augmenter was pretrained")
 
     monkeypatch.setattr(ablation, "pretrain_augmenter", fail)
-    monkeypatch.setattr(cli, "pretrain_augmenter", fail)
 
 
 def test_negative_count_in_grid_exits_2_before_pretraining(synth_dir, tmp_path, no_pretraining):

@@ -5,7 +5,7 @@ import pytest
 
 from egoinf.autodiff import Tape
 from egoinf.errors import ConfigError, DimensionError
-from egoinf.features import DeepWalkConfig, feature_width
+from egoinf.features import DeepWalkConfig, FeatureBundle, feature_width
 from egoinf.layers import (
     EdgeLayout,
     GatLayer,
@@ -397,9 +397,7 @@ class TestHeadOracle:
         adj = ego_net(n, 0.15, rng)
         h = rng.standard_normal((n, f_in))
         t = Tape()
-        got = prediction_forward(
-            t, net, t.leaf(h), attention_layout(adj), t.leaf(normalized_adjacency(adj))
-        )
+        got = prediction_forward(t, net, t.leaf(h), FeatureBundle(h, adj))
         l1, l2, l3 = net.layers
         x = oracle_elu(oracle_layer(l1, h, adj))
         x = oracle_elu(oracle_layer(l2, x, adj))
@@ -447,9 +445,7 @@ class TestPermutationEquivariance:
 
             def loss_for(a, f, e):
                 t = Tape()
-                logits = prediction_forward(
-                    t, net, t.leaf(f), attention_layout(a), t.leaf(normalized_adjacency(a)), None
-                )
+                logits = prediction_forward(t, net, t.leaf(f), FeatureBundle(f, a), None)
                 return ego_nll(t, logits, e, label).values[0, 0]
 
             perm = rng.permutation(n)
@@ -466,8 +462,8 @@ class TestEndToEndGradients:
         rng = rng_for(40)
         n = 5
         adj = random_adjacency(n, rng)
-        layout, a_hat = attention_layout(adj), normalized_adjacency(adj)
         feats = rng.standard_normal((n, 3))
+        fb = FeatureBundle(feats, adj)
         for variant in ("gat", "gcn"):
             net = build_prediction_net(variant, 3, hidden=4, heads=2, dropout=0.0, rng=rng)
             live = net.parameters()
@@ -476,7 +472,7 @@ class TestEndToEndGradients:
                 for name in live:
                     live[name][...] = params[name]
                 t = Tape()
-                logits = prediction_forward(t, net, t.leaf(feats), layout, t.leaf(a_hat), None)
+                logits = prediction_forward(t, net, t.leaf(feats), fb, None)
                 loss = ego_nll(t, logits, 1, 1)
                 t.backward(loss)
                 return float(loss.values[0, 0]), {k: t.grad(v) for k, v in live.items()}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from egoinf.errors import DataError
-from egoinf.metrics import auc, f1
+from egoinf.metrics import _tied_ranks, auc, f1
 
 
 def oracle_auc(scores, labels):
@@ -17,6 +17,29 @@ def oracle_auc(scores, labels):
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def loop_tied_ranks(x):
+    """Walk the sorted values and give each tie block its average rank."""
+    order = np.argsort(x, kind="mergesort")
+    ranks = np.empty(x.size, dtype=np.float64)
+    i = 0
+    while i < x.size:
+        j = i
+        while j + 1 < x.size and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_tied_ranks_equal_the_loop_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for k in range(500):
+        x = np.round(rng.random(int(rng.integers(1, 80))), int(rng.integers(0, 3)))
+        if k % 2:
+            x *= rng.choice([-1.0, 1.0], x.size)  # -0.0 ties with 0.0
+        assert _tied_ranks(x).tobytes() == loop_tied_ranks(x).tobytes()
 
 
 class TestAuc:

@@ -12,6 +12,7 @@ from egoinf.autodiff import Tape
 from egoinf.cascade import CascadeConfig, generate_dataset
 from egoinf.errors import ConfigError
 from egoinf.features import DeepWalkConfig, FeatureStore
+from egoinf.graphs import UndirectedGraph
 from egoinf.training import (
     ARM_FLAGS,
     AblationConfig,
@@ -269,6 +270,20 @@ class TestPredict:
         train_joint(model, train, replace(cfg, epochs=1), AblationConfig.from_arm(2), store=store)
         assert len(built) == len(train) and all(built)
 
+    def test_an_edgeless_graph_is_scored_without_reconstruction_terms(self, monkeypatch):
+        # the terms are built lazily: scoring never reads them, so a test
+        # graph without edges, which has no pos_weight, still gets a score
+        model, cfg, abl, vgae, store = self.setup_trained(arm=8, count=2)
+        s = DATASET.split_samples("test")[0]
+        edgeless = replace(s, graph=UndirectedGraph(np.zeros_like(s.graph.adjacency)))
+
+        def fail(adjacency):
+            raise AssertionError("reconstruction terms were built")
+
+        monkeypatch.setattr(features, "reconstruction_terms", fail)
+        assert 0.0 < predict(model, edgeless, abl, vgae, cfg, store) < 1.0
+        assert "recon_terms" not in vars(store.bundle(edgeless))
+
     def test_tta_without_augmenter_rejected(self):
         model, cfg, _, _, store = self.setup_trained(arm=1, count=2)
         abl = AblationConfig.from_arm(4)
@@ -298,6 +313,22 @@ def test_each_bundle_normalizes_its_adjacency_once(monkeypatch):
     for s in DATASET.split_samples("test"):
         predict(model, s, AblationConfig.from_arm(8), vgae, cfg, store)
     assert len(normalized) == len(built) > len(DATASET.samples)
+
+
+def test_joint_training_builds_reconstruction_terms_once_per_bundle(monkeypatch):
+    # the terms depend only on the adjacency, so N training bundles over
+    # E epochs build them N times, not N * E
+    built = []
+    real = features.reconstruction_terms
+    monkeypatch.setattr(features, "reconstruction_terms",
+                        lambda adj: built.append(1) or real(adj))
+    cfg = run_config_with_seed(tiny_config(epochs=3), 4)
+    store = FeatureStore(4, cfg.deepwalk)
+    train = DATASET.split_samples("train")
+    model = JointModel.create(cfg, feature_width=features.feature_width(cfg.deepwalk), seed=4)
+    _, trace = train_joint(model, train, cfg, AblationConfig.from_arm(2), store=store)
+    assert len(trace) == 3 and all(row["recon"] > 0 for row in trace)
+    assert len(built) == len(train)
 
 
 class TestDeterminismAndIsolation:
