@@ -10,19 +10,26 @@ pressure. That keeps the task graph-structural but not trivial.
 
 Draws: in each round the frontier nodes go in ascending order, and each
 checks its still-inactive neighbours (``UndirectedGraph.neighbors``,
-ascending), one uniform per check. A node joins the frontier once, so
-``cascade_rounds`` draws the sum of the degrees in one call, reads them in
-order, restores the generator and draws the count it read: ``random(k)``
-reads what k scalar draws read, so the generator ends where a per-edge
-loop leaves it, and the same stream then picks the ego.
-``CascadeConfig`` rejects settings the generator cannot honour before any
-graph is built.
+ascending), one uniform per check. ``cascade_rounds`` draws them in blocks,
+topped up before a frontier node whose degree would outrun what is left,
+reads them in order, then restores the generator and draws the count it
+read: ``random(a)`` then ``random(b)`` read what ``random(a + b)`` and
+a + b scalar draws read, so the generator ends where a per-edge loop
+leaves it, and the same stream then picks the ego.
+
+The base graph's draws come from one ``random.Random`` keyed by
+``derive_seed(seed, "base-graph")``, shared by every Watts–Strogatz try
+(Watts & Strogatz 1998) or by the Barabási–Albert growth (Barabási &
+Albert 1999), and taken in the order of the common Python reference
+generators; ``tests/test_cascade.py`` checks the edge sets against them.
+``CascadeConfig`` rejects settings the generator or the walk cannot honour
+before any graph is built.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .errors import ConfigError, DataError
@@ -31,6 +38,8 @@ from .rng import check_seed, derive_seed, stream
 from .sampling import rwr_sample
 
 _MAX_ATTEMPTS = 80
+_MAX_TRIES = 200  # Watts–Strogatz graphs drawn in search of a connected one
+_DRAW_BLOCK = 256  # cascade uniforms drawn at a time; a C5 cascade reads about 1,000
 
 
 @dataclass(frozen=True)
@@ -67,7 +76,7 @@ class CascadeConfig:
             raise ConfigError(f"rewiring probability must be in [0,1], got {self.ws_beta}")
         if not (0.0 <= self.restart_p < 1.0):
             raise ConfigError(f"restart probability must be in [0,1), got {self.restart_p}")
-        # the ranges networkx accepts, and in which the graph can be connected
+        # the ranges in which the base graph is defined and can be connected
         if self.graph_model == "watts_strogatz":
             if not (2 <= self.ws_k <= n):
                 raise ConfigError(f"ws_k must be in [2, {n}] for {n} graph nodes, got {self.ws_k}")
@@ -91,7 +100,7 @@ def cascade_rounds(
             raise ConfigError(f"seed {s} out of range")
         rounds[s] = 0
     saved = rng.bit_generator.state
-    draws = rng.random(sum(map(len, neighbors))).tolist()
+    draws: list[float] = []
     used = 0
     frontier = seeds
     r = 0
@@ -99,6 +108,8 @@ def cascade_rounds(
         r += 1
         newly: list[int] = []
         for u in frontier:
+            if used + len(neighbors[u]) > len(draws):
+                draws += rng.random(max(_DRAW_BLOCK, len(neighbors[u]))).tolist()
             for v in neighbors[u]:
                 if rounds[v] == -1:
                     if draws[used] < p:
@@ -112,15 +123,75 @@ def cascade_rounds(
     return np.array(rounds, dtype=np.int64)
 
 
+def _watts_strogatz(n: int, k: int, beta: float, rnd: random.Random) -> list[set[int]]:
+    """Neighbour sets of a ring lattice (each node joined to its k // 2
+    nearest on either side) whose edges (u, u + j) are rewired to (u, w)
+    with probability beta, j outer and u inner, with w drawn uniformly
+    again until it is neither u nor a neighbour of u."""
+    if k == n:
+        return [set(range(n)) - {u} for u in range(n)]
+    adj = [{(u + j) % n for j in range(-(k // 2), k // 2 + 1) if j} for u in range(n)]
+    nodes = list(range(n))
+    for j in range(1, k // 2 + 1):
+        for u in range(n):
+            if rnd.random() < beta:
+                w = rnd.choice(nodes)
+                while w == u or w in adj[u]:
+                    w = rnd.choice(nodes)
+                    if len(adj[u]) >= n - 1:
+                        break  # u is joined to every node: keep the edge
+                else:
+                    v = (u + j) % n
+                    adj[u].remove(v)
+                    adj[v].remove(u)
+                    adj[u].add(w)
+                    adj[w].add(u)
+    return adj
+
+
+def _is_connected(adj: list[set[int]]) -> bool:
+    seen = {0}
+    stack = [0]
+    while stack:
+        for v in adj[stack.pop()]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == len(adj)
+
+
+def _barabasi_albert(n: int, m: int, rnd: random.Random) -> list[tuple[int, int]]:
+    """Edges of a star on m + 1 nodes grown to n nodes, each new node
+    joined to m distinct targets drawn from the edge ends so far."""
+    edges = [(0, t) for t in range(1, m + 1)]
+    ends = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        targets: set[int] = set()
+        while len(targets) < m:
+            targets.add(rnd.choice(ends))
+        edges += [(source, t) for t in targets]
+        ends += targets  # in the set's order, which later draws index
+        ends += [source] * m
+    return edges
+
+
 def build_base_graph(cfg: CascadeConfig) -> UndirectedGraph:
-    nx_seed = derive_seed(cfg.seed, "base-graph")
-    if cfg.graph_model == "watts_strogatz":
-        G = nx.connected_watts_strogatz_graph(
-            cfg.graph_nodes, cfg.ws_k, cfg.ws_beta, tries=200, seed=nx_seed
-        )
-    else:  # barabasi_albert; CascadeConfig rejects any other model
-        G = nx.barabasi_albert_graph(cfg.graph_nodes, cfg.ba_m, seed=nx_seed)
-    return UndirectedGraph.from_edges(cfg.graph_nodes, G.edges())
+    """The Watts–Strogatz graph of the first connected try, or the
+    Barabási–Albert graph, drawn from the base-graph stream."""
+    n = cfg.graph_nodes
+    rnd = random.Random(derive_seed(cfg.seed, "base-graph"))
+    if cfg.graph_model == "barabasi_albert":
+        return UndirectedGraph.from_edges(n, _barabasi_albert(n, cfg.ba_m, rnd))
+    for _ in range(_MAX_TRIES):  # one generator across the tries
+        adj = _watts_strogatz(n, cfg.ws_k, cfg.ws_beta, rnd)
+        if _is_connected(adj):
+            edges = ((u, v) for u in range(n) for v in adj[u] if u < v)
+            return UndirectedGraph.from_edges(n, edges)
+    raise DataError(
+        f"no connected Watts–Strogatz graph in {_MAX_TRIES} tries with graph_nodes={n}, "
+        f"ws_k={cfg.ws_k}, ws_beta={cfg.ws_beta}, seed={cfg.seed}; "
+        "raise ws_k or lower ws_beta"
+    )
 
 
 def _candidate_egos(adj: np.ndarray, active: np.ndarray) -> np.ndarray:

@@ -32,5 +32,6 @@ def stream(seed: int, *path) -> np.random.Generator:
 
 
 def derive_seed(seed: int, *path) -> int:
-    """Collapse (seed, path) into a plain integer seed for foreign APIs."""
+    """Collapse (seed, path) into a plain integer seed: a config's seed
+    field, or the key of the base graph's ``random.Random``."""
     return int(stream(seed, *path).integers(0, 2**63 - 1))

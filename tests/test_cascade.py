@@ -1,4 +1,8 @@
 import hashlib
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +129,7 @@ probabilities = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95))
 
 
 # one small configuration per base-graph model, with the SHA-256 of its
-# saved dataset and sidecar; the digests also pin networkx's generators
+# saved dataset and sidecar; the digests also pin the base-graph generators
 MODELS = {
     "watts_strogatz": (
         dict(graph_nodes=120, ws_k=8, seed_set_size=12, samples=30, n_target=12, seed=5),
@@ -208,6 +212,12 @@ class TestDrawsMatchPerEdgeOracle:
             )
             assert generator_state(rng) == generator_state(ref)
 
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_cascade_rounds_topped_up_in_small_blocks(self, monkeypatch, block):
+        # a block shorter than most degrees: nearly every frontier node tops up
+        monkeypatch.setattr(cascade, "_DRAW_BLOCK", block)
+        self.test_cascade_rounds_on_a_base_graph(0.3)
+
     def test_isolated_ego_restarts_every_step_and_truncates(self):
         g = UndirectedGraph.from_edges(4, [(1, 2), (2, 3)])
         rng, ref = stream(9, "rwr"), stream(9, "rwr")
@@ -232,6 +242,70 @@ class TestDrawsMatchPerEdgeOracle:
             assert a.influence_state.dtype == b.influence_state.dtype
         assert got.splits == want.splits
         assert got.metadata == want.metadata
+
+
+def edge_set(edges):
+    return {frozenset(e) for e in edges}
+
+
+def watts_strogatz_edges(n, k, beta, seed):
+    """The edges of cascade's connected Watts–Strogatz graph, and the
+    number of tries it took."""
+    rnd = random.Random(seed)
+    for tries in range(1, cascade._MAX_TRIES + 1):
+        adj = cascade._watts_strogatz(n, k, beta, rnd)
+        if cascade._is_connected(adj):
+            return edge_set((u, v) for u in range(n) for v in adj[u]), tries
+    return None, tries
+
+
+class TestBaseGraphsMatchNetworkx:
+    """The in-repo generators draw as networkx 3.6.1 does and give its
+    edge sets; networkx is needed only here."""
+
+    @pytest.mark.parametrize("n,k", [
+        (2, 2), (3, 2), (5, 3), (5, 4), (5, 5), (8, 2), (8, 7), (12, 2), (12, 4),
+        (12, 5), (20, 2), (20, 3), (30, 3), (40, 6), (300, 10),
+    ])
+    def test_connected_watts_strogatz(self, n, k):
+        nx = pytest.importorskip("networkx")
+        retried = 0
+        for beta in (0.0, 0.1, 0.5, 1.0):
+            for seed in range(8):
+                got, tries = watts_strogatz_edges(n, k, beta, seed)
+                retried += tries > 1
+                graph = nx.connected_watts_strogatz_graph(
+                    n, k, beta, tries=cascade._MAX_TRIES, seed=seed)
+                assert got == edge_set(graph.edges()), (beta, seed)
+        if k < 4 and n >= 12:
+            assert retried > 0  # rewired rings fall apart: later tries share the generator
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (3, 2), (10, 1), (10, 3), (50, 2), (150, 2), (60, 59)])
+    def test_barabasi_albert(self, n, m):
+        nx = pytest.importorskip("networkx")
+        for seed in range(8):
+            got = edge_set(cascade._barabasi_albert(n, m, random.Random(seed)))
+            assert got == edge_set(nx.barabasi_albert_graph(n, m, seed=seed).edges()), seed
+
+
+def test_library_never_imports_networkx():
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import egoinf\n"
+        "for m in pkgutil.iter_modules(egoinf.__path__):\n"
+        "    importlib.import_module('egoinf.' + m.name)\n"
+        "from egoinf.cascade import CascadeConfig, generate_dataset\n"
+        f"for fields in {[fields for fields, _ in MODELS.values()]!r}:\n"
+        "    generate_dataset(CascadeConfig(**fields))\n"
+        "assert 'egoinf.cli' in sys.modules\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # each bound from a fresh stream and from one holding a pending half word;

@@ -87,6 +87,18 @@ class TestSynth:
         code = main(["synth", "--out", str(tmp_path / "bad"), "--prob", "0.0", *SYNTH_FLAGS])
         assert code == 3
 
+    def test_no_connected_base_graph_exits_with_data_error(self, tmp_path, monkeypatch, capsys):
+        from egoinf import cascade
+
+        tries = []
+        monkeypatch.setattr(cascade, "_is_connected", lambda adj: tries.append(adj) and False)
+        code = main(["synth", "--out", str(tmp_path / "bad"), *SYNTH_FLAGS])
+        assert code == 3
+        assert len(tries) == cascade._MAX_TRIES
+        err = capsys.readouterr().err
+        assert "graph_nodes=90, ws_k=8, ws_beta=0.1, seed=3" in err
+        assert not (tmp_path / "bad").exists()
+
 
 class TestTrainEval:
     def test_train_writes_checkpoints_trace_manifest(self, trained_dir):
