@@ -7,10 +7,12 @@ training; in eval mode Z is the mean.
 
 The encoders and the reconstruction loss take one graph argument: a
 ``FeatureBundle`` or pretraining's row-stack of equal-size bundles under
-the same field names, one graph being a stack of one. Each epoch of
-pretraining is one tape over the stack; only the products with each
-graph's adjacency and the decoder work block by block
-(``Tape.block_matmul``, ``Tape.block_gram``).
+the same field names, one graph being a stack of one. Pretraining stacks
+the training graphs in chunks of ``PRETRAIN_CHUNK`` and records one tape
+per chunk, so its memory grows with a chunk, not with the training set;
+each epoch is still one optimizer step on the mean over all graphs. Only
+the products with each graph's adjacency and the decoder work block by
+block (``Tape.block_matmul``, ``Tape.block_gram``).
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor
 from .errors import ConfigError
-from .features import FeatureBundle
+from .features import FeatureBundle, off_diagonal
 from .layers import glorot
 from .optim import Adagrad, mean_gradient_step
 from .rng import stream
@@ -109,8 +111,13 @@ def stacked_decode(tape: Tape, z: Tensor, n: int) -> Tensor:
 
 def reconstruction_ce(tape: Tape, z: Tensor, graphs: FeatureBundle | _Stack) -> Tensor:
     """Mean weighted binary cross-entropy between each graph's decoded
-    probabilities and its adjacency off the diagonal (``recon_terms``)."""
-    return tape.bce_mean(stacked_decode(tape, z, graphs.n), *graphs.recon_terms)
+    probabilities and its adjacency off the diagonal, the positives weighted
+    by the graph's pos_weight (``recon_terms``)."""
+    target, pos_weight = graphs.recon_terms
+    n = graphs.n
+    weights = np.where(target > 0, pos_weight, 1.0)
+    mask = off_diagonal(n, target.shape[0] // n)
+    return tape.bce_mean(stacked_decode(tape, z, n), target, weights, mask)
 
 
 @dataclass
@@ -121,16 +128,21 @@ class AutoencTrainConfig:
     seed: int
 
 
+PRETRAIN_CHUNK = 32  # graphs per pretraining tape; memory grows with this, not the training set
+
+
 class _Stack(NamedTuple):
     """Equal-size bundles stacked by rows once per fit, under their field names."""
 
+    graphs: range  # the stacked graphs' indices in the training set
     n: int  # nodes per graph
     encoder_input: np.ndarray  # (B*n, width)
     a_hat: np.ndarray  # (B*n, n) normalized adjacencies
-    recon_terms: tuple  # the bundles' recon_terms, each stacked to (B*n, n)
+    recon_terms: tuple  # the bundles' targets stacked, (B*n, n); pos_weights per row, (B*n, 1)
 
 
-def _stack(bundles: list[FeatureBundle], name: str) -> _Stack:
+def _chunks(bundles: list[FeatureBundle], name: str) -> list[_Stack]:
+    """The bundles stacked in training-set order, PRETRAIN_CHUNK graphs per stack."""
     if not bundles:
         raise ConfigError(f"train_{name.lower()}: empty dataset")
     sizes = sorted({fb.n for fb in bundles})
@@ -138,28 +150,38 @@ def _stack(bundles: list[FeatureBundle], name: str) -> _Stack:
         raise ConfigError(
             f"train_{name.lower()}: graphs of {sizes} nodes; pretraining stacks one size"
         )
-    return _Stack(
-        sizes[0],
-        np.vstack([fb.encoder_input for fb in bundles]),
-        np.vstack([fb.a_hat for fb in bundles]),
-        tuple(np.vstack(part) for part in zip(*(fb.recon_terms for fb in bundles))),
-    )
+    n, chunks = sizes[0], []
+    for start in range(0, len(bundles), PRETRAIN_CHUNK):
+        part = bundles[start : start + PRETRAIN_CHUNK]
+        targets, pos_weights = zip(*(fb.recon_terms for fb in part))
+        chunks.append(_Stack(
+            range(start, start + len(part)),
+            n,
+            np.vstack([fb.encoder_input for fb in part]),
+            np.vstack([fb.a_hat for fb in part]),
+            (np.vstack(targets), np.repeat(pos_weights, n)[:, None]),
+        ))
+    return chunks
 
 
-def _fit(model, stack: _Stack, cfg: AutoencTrainConfig, name: str, loss_of):
-    """Full-batch Adagrad, one step and one tape per epoch over the stacked
-    graphs. loss_of(tape, stack) returns the loss node and its parts by
-    name, each a mean over the graphs; a trace row holds the parts and
-    their sum as total."""
+def _fit(model, chunks: list[_Stack], cfg: AutoencTrainConfig, name: str, loss_of):
+    """Full-batch Adagrad, one step per epoch and one tape per chunk.
+    loss_of(tape, chunk) returns the loss node and its parts by name, each
+    a mean over the chunk's graphs. Chunk gradients and parts are weighted
+    by the chunk's share of the graphs and summed in order, so the step
+    and a trace row's parts are means over all graphs; a trace row also
+    holds the parts' sum as total."""
     opt = Adagrad(model.parameters(), lr=cfg.lr, eps=cfg.adagrad_eps)
+    shares = [len(c.graphs) / chunks[-1].graphs.stop for c in chunks]
 
     def diverged(_, exc):
         return f"{name} diverged at epoch {epoch}: {exc}"
 
     trace: list[dict[str, float]] = []
     for epoch in range(cfg.epochs):
-        (record,) = mean_gradient_step(opt, [stack], loss_of, diverged)
-        trace.append({**record, "total": sum(record.values())})
+        records = mean_gradient_step(opt, chunks, loss_of, diverged, shares)
+        row = {k: sum(w * r[k] for w, r in zip(shares, records)) for k in records[0]}
+        trace.append({**row, "total": sum(row.values())})
     return model, trace
 
 
@@ -167,21 +189,23 @@ def train_vgae(model: VgaeModel, bundles: list[FeatureBundle], cfg: AutoencTrain
     """Fit the VGAE on the graphs' bundles with the reconstruction plus KL
     loss. Returns (model, trace) where trace has one dict per epoch with
     keys ce, kld, total."""
-    stack = _stack(bundles, "VGAE")
+    chunks = _chunks(bundles, "VGAE")
+    n = chunks[0].n
     # one fixed noise draw per graph, made once: traces are reproducible and
     # a frozen model yields a frozen loss trace
     noise = np.vstack([
-        stream(cfg.seed, "vgae-eps", gi).standard_normal((stack.n, model.d))
+        stream(cfg.seed, "vgae-eps", gi).standard_normal((n, model.d))
         for gi in range(len(bundles))
     ])
 
     def loss_of(tape, st):
-        z, mu, logvar = vgae_encode(tape, model, st, noise=noise)
+        eps = noise[st.graphs.start * n : st.graphs.stop * n]
+        z, mu, logvar = vgae_encode(tape, model, st, noise=eps)
         ce = reconstruction_ce(tape, z, st)
         kl = tape.gaussian_kl(mu, logvar)
         return tape.add(ce, kl), {"ce": float(ce.values[0, 0]), "kld": float(kl.values[0, 0])}
 
-    return _fit(model, stack, cfg, "VGAE", loss_of)
+    return _fit(model, chunks, cfg, "VGAE", loss_of)
 
 
 def train_gae(model: GaeModel, bundles: list[FeatureBundle], cfg: AutoencTrainConfig):
@@ -193,4 +217,4 @@ def train_gae(model: GaeModel, bundles: list[FeatureBundle], cfg: AutoencTrainCo
         ce = reconstruction_ce(tape, z, st)
         return ce, {"ce": float(ce.values[0, 0])}
 
-    return _fit(model, _stack(bundles, "GAE"), cfg, "GAE", loss_of)
+    return _fit(model, _chunks(bundles, "GAE"), cfg, "GAE", loss_of)

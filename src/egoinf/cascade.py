@@ -40,6 +40,9 @@ from .sampling import rwr_sample
 _MAX_ATTEMPTS = 80
 _MAX_TRIES = 200  # Watts–Strogatz graphs drawn in search of a connected one
 _DRAW_BLOCK = 256  # cascade uniforms drawn at a time; a C5 cascade reads about 1,000
+# Largest base graph. It is held as a dense n x n int8 adjacency plus a
+# float64 copy, 9 bytes per cell: 0.9 GB at the cap.
+MAX_GRAPH_NODES = 10_000
 
 
 @dataclass(frozen=True)
@@ -58,6 +61,8 @@ class CascadeConfig:
 
     def __post_init__(self):
         n = self.graph_nodes
+        if n > MAX_GRAPH_NODES:
+            raise ConfigError(f"graph nodes must be <= {MAX_GRAPH_NODES}, got {n}")
         if not (0.0 <= self.activation_p <= 1.0):
             raise ConfigError(f"activation probability must be in [0,1], got {self.activation_p}")
         if not (1 <= self.seed_set_size <= n):

@@ -2,15 +2,16 @@
 
 A FeatureBundle holds a sample's encoder input, [influence | deepwalk]
 (action status, ego indicator, walk embeddings), and its adjacency, and
-derives what the models read from them once. The VGAE augmenter, the GAE
-branch, the reconstruction loss and the head read that one bundle; the
-head consumes [Z | encoder input], Z from the branch at forward time.
+derives what the models read from them once, on first read. The VGAE
+augmenter, the GAE branch, the reconstruction loss and the head read that
+one bundle; the head consumes [Z | encoder input], Z from the branch at
+forward time.
 Bundles are cached by sample id and adjacency.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,41 +32,37 @@ def influence_features(s: EgoSample) -> np.ndarray:
 
 
 @functools.cache
-def _off_diagonal(n: int) -> np.ndarray:
-    mask = 1.0 - np.eye(n)
+def off_diagonal(n: int, blocks: int = 1) -> np.ndarray:
+    """The n x n mask of off-diagonal entries, ``blocks`` copies stacked by
+    rows: read-only and shared."""
+    mask = np.tile(1.0 - np.eye(n), (blocks, 1))
     mask.flags.writeable = False
     return mask
 
 
-def reconstruction_terms(adjacency: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The reconstruction loss's constant target, weights and mask: the mask
-    selects every off-diagonal entry, and the weights scale the positives
-    by pos_weight = #off-diagonal zeros / #off-diagonal ones."""
-    target = np.asarray(adjacency, dtype=np.float64)
+def reconstruction_terms(adjacency: np.ndarray) -> tuple[np.ndarray, float]:
+    """The reconstruction loss's constant target, the 0/1 adjacency itself,
+    and the weight of its positives, pos_weight = #off-diagonal zeros /
+    #off-diagonal ones."""
+    target = np.asarray(adjacency)
     n = target.shape[0]
-    mask = _off_diagonal(n)
-    ones = (target * mask).sum()
+    ones = (target * off_diagonal(n)).sum()
     if not ones:
         raise ConfigError("reconstruction_ce: target has no positive entries; pos_weight undefined")
-    weights = np.where(target > 0, (n * (n - 1) - ones) / ones, 1.0)
-    return target, weights, mask
+    return target, (n * (n - 1) - ones) / ones
 
 
 @dataclass(frozen=True)
 class FeatureBundle:
     """The one graph argument of every model: per-node features and the 0/1
-    adjacency. The normalized adjacency and attention layout are derived
-    once, when it is built; the reconstruction terms once, when first read,
-    so a bundle of an edgeless graph can still be scored."""
+    adjacency, kept as given (a FeatureStore bundle shares its graph's
+    read-only int8 adjacency). The normalized adjacency, attention layout
+    and reconstruction terms are each derived once, when first read, so a
+    bundle holds only what its readers use, and a bundle of an edgeless
+    graph can still be scored."""
 
     encoder_input: np.ndarray  # n x width, [influence | deepwalk]
     adjacency: np.ndarray  # n x n 0/1
-    a_hat: np.ndarray = field(init=False, repr=False)  # normalized adjacency
-    layout: EdgeLayout = field(init=False, repr=False)  # adjacency + self-loops
-
-    def __post_init__(self):
-        object.__setattr__(self, "a_hat", normalized_adjacency(self.adjacency))
-        object.__setattr__(self, "layout", attention_layout(self.adjacency))
 
     @property
     def n(self) -> int:
@@ -76,7 +73,15 @@ class FeatureBundle:
         return self.encoder_input.shape[1]
 
     @functools.cached_property
-    def recon_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def a_hat(self) -> np.ndarray:
+        return normalized_adjacency(self.adjacency)
+
+    @functools.cached_property
+    def layout(self) -> EdgeLayout:  # adjacency + self-loops
+        return attention_layout(self.adjacency)
+
+    @functools.cached_property
+    def recon_terms(self) -> tuple[np.ndarray, float]:
         return reconstruction_terms(self.adjacency)
 
 
@@ -107,8 +112,6 @@ class FeatureStore:
         if hit is not None:
             return hit
         emb = deepwalk_embed(s.graph, self.dw, stream(self.seed, "deepwalk", s.sample_id))
-        fb = FeatureBundle(
-            np.hstack([influence_features(s), emb]), s.graph.adjacency.astype(np.float64)
-        )
+        fb = FeatureBundle(np.hstack([influence_features(s), emb]), s.graph.adjacency)
         self._cache[key] = fb
         return fb

@@ -109,7 +109,7 @@ class EdgeLayout(NamedTuple):
     """An attention mask's nonzeros in row-major order, so each row's edges
     are contiguous: their positions in the n*n square (``flat``), rows and
     columns, and each row's edge count and first edge index. All are
-    length-E or length-n integer arrays; no n x n array is kept."""
+    length-E or length-n int32 arrays (n*n < 2**31); no n x n array is kept."""
 
     flat: np.ndarray
     rows: np.ndarray
@@ -123,13 +123,13 @@ class EdgeLayout(NamedTuple):
         if keep.ndim != 2 or keep.shape[0] != keep.shape[1]:
             raise DimensionError(f"attention mask must be square, got {keep.shape}")
         n = keep.shape[0]
-        flat = np.flatnonzero(keep)
+        flat = np.flatnonzero(keep).astype(np.int32)
         rows, cols = np.divmod(flat, n)
-        counts = np.bincount(rows, minlength=n)
+        counts = np.bincount(rows, minlength=n).astype(np.int32)
         if not counts.all():
             bad = int(np.flatnonzero(counts == 0)[0])
             raise ConfigError(f"masked softmax: row {bad} fully masked")
-        return cls(flat, rows, cols, counts, np.cumsum(counts) - counts)
+        return cls(flat, rows, cols, counts, np.cumsum(counts, dtype=np.int32) - counts)
 
 
 def attention_layout(adj: np.ndarray) -> EdgeLayout:

@@ -44,19 +44,27 @@ class Adagrad:
 
 
 def mean_gradient_step(
-    opt: Adagrad, items: Sequence, loss_of: Callable, diverged: Callable[..., str]
+    opt: Adagrad,
+    items: Sequence,
+    loss_of: Callable,
+    diverged: Callable[..., str],
+    weights: Sequence[float] | None = None,
 ) -> list:
-    """One ``opt`` step on the mean gradient of per-item losses.
+    """One ``opt`` step on the mean, or weighted mean, gradient of per-item
+    losses.
 
     Each item gets a fresh tape: ``loss_of(tape, item)`` returns the scalar
     loss node and a record of its parts, and the loss is differentiated.
-    Gradients of ``opt.params`` are summed in item order. A non-finite
-    value on the way raises ``DivergenceError(diverged(item, exc))``.
-    Returns the records in item order.
+    Gradients of ``opt.params`` are summed in item order and divided by
+    the item count, or, given ``weights`` (one per item, summing to 1),
+    each is scaled by its item's weight before the sum. Only one item's
+    tape is alive at a time. A non-finite value on the way raises
+    ``DivergenceError(diverged(item, exc))``. Returns the records in item
+    order.
     """
     grads: dict[str, np.ndarray] = {}
     records = []
-    for item in items:
+    for i, item in enumerate(items):
         tape = Tape()
         try:
             loss, record = loss_of(tape, item)
@@ -65,6 +73,10 @@ def mean_gradient_step(
             raise DivergenceError(diverged(item, exc)) from exc
         records.append(record)
         for name, arr in opt.params.items():
-            grads[name] = grads.get(name, 0.0) + tape.grad(arr)
-    opt.step({k: v / len(records) for k, v in grads.items()})
+            g = tape.grad(arr) if weights is None else weights[i] * tape.grad(arr)
+            grads[name] = grads.get(name, 0.0) + g
+        del tape, loss  # free this item's graph before the next is built
+    if weights is None:
+        grads = {k: v / len(records) for k, v in grads.items()}
+    opt.step(grads)
     return records

@@ -5,10 +5,11 @@ import pytest
 
 from egoinf.autodiff import Tape
 from egoinf.autoenc import (
+    PRETRAIN_CHUNK,
     AutoencTrainConfig,
     GaeModel,
     VgaeModel,
-    _stack,
+    _chunks,
     gae_encode,
     reconstruction_ce,
     stacked_decode,
@@ -21,6 +22,7 @@ from egoinf.deepwalk import DeepWalkConfig
 from egoinf.errors import ConfigError
 from egoinf.features import FeatureBundle, FeatureStore
 from egoinf.layers import normalized_adjacency
+from egoinf.optim import Adagrad, mean_gradient_step
 
 from .oracles import grad_check, one_hot_bundle, per_graph_pretrain
 
@@ -94,7 +96,8 @@ class TestReconstructionCe:
         t = Tape()
         a = random_graph(4, rng_for(1), p=0.5)
         m = t.leaf(np.where(a > 0, 1 - 1e-9, 1e-9))
-        loss = t.bce_mean(m, *FeatureBundle(np.eye(4), a).recon_terms)
+        target, pos_weight = FeatureBundle(np.eye(4), a).recon_terms
+        loss = t.bce_mean(m, target, np.where(target > 0, pos_weight, 1.0), 1.0 - np.eye(4))
         assert loss.values[0, 0] <= 2.1e-8
 
     def test_weighted_hand_summed_value(self):
@@ -312,6 +315,7 @@ class TestStackedPretraining:
     @pytest.mark.parametrize("kind", MODELS)
     def test_c5_config_weights_match_the_per_graph_path(self, kind, seed):
         bundles = c5_bundles(seed)
+        assert PRETRAIN_CHUNK < len(bundles) < 2 * PRETRAIN_CHUNK  # a full chunk, a partial one
         stacked, per_graph = twin_models(kind, bundles[0].width, seed)
         cfg = pretrain_cfg(40, 0.1, seed)
         _, trace = MODELS[kind][1](stacked, bundles, cfg)
@@ -321,22 +325,46 @@ class TestStackedPretraining:
         for got, want in zip(trace, expected):
             assert got["total"] == pytest.approx(want["total"], rel=1e-12)
 
+    @pytest.mark.parametrize("graphs", [5, PRETRAIN_CHUNK + 1, 2 * PRETRAIN_CHUNK + 3])
     @pytest.mark.parametrize("kind", MODELS)
-    def test_one_tape_per_epoch(self, kind, monkeypatch):
+    def test_one_tape_per_chunk_per_epoch(self, kind, graphs, monkeypatch):
         from egoinf import optim
 
-        made = []
+        made, steps = [], []
 
         class CountingTape(optim.Tape):
             def __init__(self, *args, **kwargs):
                 made.append(1)
                 super().__init__(*args, **kwargs)
 
+        real_step = optim.Adagrad.step
         monkeypatch.setattr(optim, "Tape", CountingTape)
-        bundles = [one_hot_bundle(toy_two_cluster_graph())] * 5
+        monkeypatch.setattr(optim.Adagrad, "step", lambda opt, g: steps.append(real_step(opt, g)))
+        bundles = [one_hot_bundle(toy_two_cluster_graph())] * graphs
         cls, train = MODELS[kind]
         train(cls.create(20, 8, 4, rng_for(0)), bundles, pretrain_cfg(3, 0.1, 0))
-        assert len(made) == 3
+        assert len(made) == 3 * math.ceil(graphs / PRETRAIN_CHUNK)
+        assert len(steps) == 3
+
+    def test_one_chunk_takes_the_unweighted_step(self):
+        # a training set of one chunk: one tape over the stack, its mean
+        # gradient taken as it is, no share weighting
+        bundles = c5_bundles(3, samples=PRETRAIN_CHUNK)
+        chunked, plain = twin_models("gae", bundles[0].width, 3)
+        cfg = pretrain_cfg(5, 0.1, 3)
+        _, trace = train_gae(chunked, bundles, cfg)
+        (stack,) = _chunks(bundles, "GAE")
+
+        def loss_of(tape, st):
+            ce = reconstruction_ce(tape, gae_encode(tape, plain, st), st)
+            return ce, {"ce": float(ce.values[0, 0])}
+
+        opt = Adagrad(plain.parameters(), lr=cfg.lr, eps=cfg.adagrad_eps)
+        for row in trace:
+            (record,) = mean_gradient_step(opt, [stack], loss_of, lambda *_: "diverged")
+            assert row == {**record, "total": record["ce"]}
+        for name, arr in chunked.parameters().items():
+            assert arr.tobytes() == plain.parameters()[name].tobytes()
 
     @pytest.mark.parametrize("kind", MODELS)
     def test_graphs_of_mixed_sizes_rejected(self, kind):
@@ -350,10 +378,42 @@ class TestStackedPretraining:
     def test_each_graph_keeps_its_pos_weight(self):
         rng = rng_for(9)
         bundles = [FeatureBundle(np.eye(6), random_graph(6, rng, p=p)) for p in (0.2, 0.5, 0.9)]
-        stacked = _stack(bundles, "GAE").recon_terms
-        for got, *parts in zip(stacked, *(fb.recon_terms for fb in bundles)):
-            np.testing.assert_array_equal(got, np.vstack(parts))
-        pos_weights = {float(fb.recon_terms[1][fb.adjacency > 0][0]) for fb in bundles}
-        assert len(pos_weights) == 3  # each graph's own
+        (chunk,) = _chunks(bundles, "GAE")
+        targets, row_weights = chunk.recon_terms
+        np.testing.assert_array_equal(targets, np.vstack([fb.adjacency for fb in bundles]))
+        pos_weights = [fb.recon_terms[1] for fb in bundles]
+        np.testing.assert_array_equal(row_weights, np.repeat(pos_weights, 6)[:, None])
+        assert len(set(pos_weights)) == 3  # each graph's own
         with pytest.raises(ConfigError, match="no positive entries"):
-            _stack([bundles[0], FeatureBundle(np.eye(6), np.zeros((6, 6)))], "GAE")
+            _chunks([bundles[0], FeatureBundle(np.eye(6), np.zeros((6, 6)))], "GAE")
+
+
+class TestPretrainingMemory:
+    """Pretraining memory grows with a chunk of graphs, not with the
+    training set: at the published sizes (DeepWalk width 64, hidden and
+    embedding 64) on 30-node graphs, a fit over four chunks peaks within
+    twice a one-chunk fit's peak under tracemalloc. One tape over the whole
+    set would take about four times."""
+
+    @staticmethod
+    def fit_peak(bundles):
+        import tracemalloc
+
+        model = VgaeModel.create(bundles[0].width, 64, 64, rng_for(0))
+        tracemalloc.start()
+        try:
+            train_vgae(model, bundles, pretrain_cfg(1, 0.01, 0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_with_a_chunk_not_the_training_set(self):
+        rng = rng_for(12)
+        bundles = [
+            FeatureBundle(rng.standard_normal((30, 66)), random_graph(30, rng, p=0.2))
+            for _ in range(4 * PRETRAIN_CHUNK)
+        ]
+        for fb in bundles:  # derived before the fits: each peak counts only the fit
+            fb.a_hat, fb.recon_terms
+        one_chunk = self.fit_peak(bundles[:PRETRAIN_CHUNK])
+        assert self.fit_peak(bundles) < 2 * one_chunk

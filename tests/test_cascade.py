@@ -409,6 +409,7 @@ class TestConfigValidation:
         (dict(graph_model="barabasi_albert", ba_m=0), "ba_m"),
         (dict(graph_model="barabasi_albert", ba_m=300), "ba_m"),
         (dict(graph_model="erdos_renyi"), "unknown graph model"),
+        (dict(graph_nodes=cascade.MAX_GRAPH_NODES + 1), "graph nodes must be <= 10000"),
     ])
     def test_rejected(self, fields, message):
         with pytest.raises(ConfigError, match=message):
@@ -420,6 +421,7 @@ class TestConfigValidation:
         # the other model's parameter is not checked
         dict(graph_model="barabasi_albert", ba_m=299, ws_k=0),
         dict(graph_model="watts_strogatz", ba_m=0),
+        dict(graph_nodes=cascade.MAX_GRAPH_NODES),
     ])
     def test_bounds_accepted(self, fields):
         CascadeConfig(**fields)

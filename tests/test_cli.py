@@ -886,6 +886,21 @@ def test_subgraph_size_above_node_cap_exits_2(tmp_path, capsys, no_work):
     assert "subgraph size" in capsys.readouterr().err
 
 
+def test_base_graph_above_node_cap_exits_2(tmp_path, capsys, no_work):
+    # a dense base graph of 100 000 nodes would need 90 GB
+    code = main(["synth", "--out", str(tmp_path / "o"), "--nodes", "100000", "--samples", "5"])
+    assert code == 2
+    assert "graph nodes must be <= 10000, got 100000" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_base_graph_at_node_cap_reaches_the_generator(tmp_path, no_work):
+    from egoinf.cascade import MAX_GRAPH_NODES
+
+    with pytest.raises(AssertionError, match="work started"):
+        main(["synth", "--out", str(tmp_path / "o"), "--nodes", str(MAX_GRAPH_NODES)])
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--seed-set-size", "400"], "seed set size"),
     (["--samples", "0"], "samples must be >= 1"),

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,40 @@ class TestFeatureStore:
             np.testing.assert_array_equal(got, want)
         # the isolated node attends to itself
         np.testing.assert_array_equal(fb.layout.counts, [2, 2, 1])
+
+    def test_bundle_shares_the_graphs_read_only_int8_adjacency(self):
+        s = make_sample(random_adjacency(12, np.random.default_rng(3)), sid="share")
+        fb = FeatureStore(0, DeepWalkConfig(dim=4, walks_per_node=2, walk_length=6)).bundle(s)
+        assert fb.adjacency is s.graph.adjacency
+        assert fb.adjacency.dtype == np.int8 and not fb.adjacency.flags.writeable
+        # nothing derived yet: no float copy of the adjacency, no a_hat, no layout
+        assert set(vars(fb)) == {"encoder_input", "adjacency"}
+
+    def test_each_derived_field_is_built_once_on_first_read(self, monkeypatch):
+        from egoinf import features
+
+        built = {}
+
+        def counting(name):
+            real = getattr(features, name)
+
+            def wrapper(adj):
+                built[name] = built.get(name, 0) + 1
+                return real(adj)
+
+            monkeypatch.setattr(features, name, wrapper)
+
+        for name in ("normalized_adjacency", "attention_layout", "reconstruction_terms"):
+            counting(name)
+        s = make_sample(random_adjacency(9, np.random.default_rng(4)), sid="lazy")
+        fb = FeatureStore(0, DeepWalkConfig(dim=4, walks_per_node=2, walk_length=6)).bundle(s)
+        assert built == {}
+        for field in ("a_hat", "layout", "recon_terms"):
+            first = getattr(fb, field)
+            assert getattr(fb, field) is first
+        assert built == {
+            "normalized_adjacency": 1, "attention_layout": 1, "reconstruction_terms": 1,
+        }
 
     def test_same_id_different_graph_not_conflated(self):
         a = make_sample([[0, 1], [1, 0]], sid="same")
@@ -443,3 +479,65 @@ def test_negative_draws_match_generator_choice(visits):
     # and the draws themselves: the same uniforms Generator.choice consumes
     got = _draw_negatives(stream(3, "neg").random((200, 3)), cdf, table)
     np.testing.assert_array_equal(got, stream(3, "neg").choice(len(visits), (200, 3), p=noise))
+
+
+class TestBundleOutputsMatchEagerFloatBundle:
+    """A store's bundle (int8 adjacency, fields derived on first read) gives
+    the encoders, the head and the decoder the same bytes as a bundle built
+    as before: a float64 copy of the adjacency, with the normalized
+    adjacency and attention layout derived up front, and a reconstruction
+    loss over a float target and a full weights array."""
+
+    @pytest.mark.parametrize("n", [5, 30])
+    def test_encoder_head_and_decoder_outputs_are_byte_identical(self, n):
+        from egoinf.augment import edge_probabilities
+        from egoinf.autodiff import Tape
+        from egoinf.autoenc import (
+            GaeModel,
+            VgaeModel,
+            gae_encode,
+            reconstruction_ce,
+            stacked_decode,
+            vgae_encode,
+        )
+        from egoinf.layers import build_prediction_net, ego_nll, prediction_forward
+
+        rng = np.random.default_rng(n)
+        s = make_sample(random_adjacency(n, rng, p=0.3), sid="eager")
+        lazy = FeatureStore(1, DeepWalkConfig(dim=4, walks_per_node=2, walk_length=6)).bundle(s)
+        adj = s.graph.adjacency.astype(np.float64)
+        eager = SimpleNamespace(
+            encoder_input=lazy.encoder_input, adjacency=adj, n=n, width=lazy.width,
+            a_hat=normalized_adjacency(adj), layout=attention_layout(adj),
+        )
+        width = lazy.width
+        gae = GaeModel.create(width, 8, 4, rng)
+        vgae = VgaeModel.create(width, 8, 4, rng)
+        noise = rng.standard_normal((n, 4))
+        heads = {v: build_prediction_net(v, width, 8, 2, 0.0, rng) for v in ("gat", "gcn")}
+
+        def eager_recon_ce(t, z, fb):
+            # the loss over terms built up front: float target, weights array, mask
+            target, mask = fb.adjacency, 1.0 - np.eye(n)
+            ones = (target * mask).sum()
+            weights = np.where(target > 0, (n * (n - 1) - ones) / ones, 1.0)
+            return t.bce_mean(stacked_decode(t, z, n), target, weights, mask)
+
+        def outputs(fb, recon_ce):
+            t = Tape()
+            z = gae_encode(t, gae, fb)
+            vz, mu, logvar = vgae_encode(t, vgae, fb, noise=noise)
+            ce = recon_ce(t, vz, fb)
+            logits = [prediction_forward(t, net, t.leaf(fb.encoder_input), fb) for net in heads.values()]
+            loss = t.add(ce, recon_ce(t, z, fb))
+            for lg in logits:
+                loss = t.add(loss, ego_nll(t, lg, s.ego, 1))
+            t.backward(loss)
+            params = [gae.w0, vgae.w0, vgae.w1_mu, vgae.w1_logvar]
+            params += [p for net in heads.values() for p in net.parameters().values()]
+            out = [z, vz, mu, logvar, stacked_decode(t, z, fb.n), ce, *logits]
+            return [o.values for o in out] + [t.grad(p) for p in params] + [edge_probabilities(vgae, fb)]
+
+        got_all = outputs(lazy, reconstruction_ce)
+        for got, want in zip(got_all, outputs(eager, eager_recon_ce), strict=True):
+            assert got.tobytes() == want.tobytes()
