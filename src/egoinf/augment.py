@@ -4,9 +4,16 @@ A trained variational autoencoder scores every node pair; pairs above the
 threshold that are not already edges become candidates, and each candidate
 is added independently with its own probability. Augmented samples only
 ever gain edges; ego, state and label are untouched.
+
+Node pairs i < j have one order, row-major as ``np.triu_indices(n, 1)``
+gives it (``_pairs``). A copy draws one uniform per pair in that order,
+n(n-1)/2 doubles whatever its candidates, and keeps a candidate whose
+uniform is below its probability. So copies are coupled across thresholds:
+raising the threshold can only remove added edges.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,26 +51,24 @@ def edge_probabilities(vgae: VgaeModel, fb: FeatureBundle) -> np.ndarray:
     return probs
 
 
+@functools.cache
+def _pairs(n: int) -> np.ndarray:
+    """The node pairs i < j in pair order, as a shared read-only (2, m) array."""
+    pairs = np.array(np.triu_indices(n, k=1))
+    pairs.flags.writeable = False
+    return pairs
+
+
 def candidate_edges(
     probs: np.ndarray, adjacency: np.ndarray, threshold: float
 ) -> list[tuple[int, int]]:
-    """Non-edges (i < j) whose probability strictly exceeds the threshold."""
+    """Non-edges i < j whose probability strictly exceeds the threshold, in pair order."""
     adj = np.asarray(adjacency)
     if adj.shape != probs.shape:
         raise ConfigError(f"candidate_edges: adjacency {adj.shape} vs probs {probs.shape}")
-    i, j = np.triu_indices(probs.shape[0], k=1)
+    i, j = _pairs(probs.shape[0])
     keep = (adj[i, j] == 0) & (probs[i, j] > threshold)
     return list(zip(i[keep].tolist(), j[keep].tolist()))
-
-
-def _pair_uniforms(n: int, rng: np.random.Generator) -> np.ndarray:
-    """One uniform per unordered pair, drawn in canonical (row-major upper
-    triangle) order. Drawing all pairs up front couples augmentations across
-    thresholds: raising the threshold can only remove added edges."""
-    u = np.zeros((n, n))
-    i, j = np.triu_indices(n, k=1)
-    u[i, j] = rng.random(i.size)
-    return u
 
 
 def sample_augmentation(
@@ -74,12 +79,13 @@ def sample_augmentation(
 ) -> UndirectedGraph:
     """The graph plus each candidate edge, added independently with its
     decoded probability."""
-    u = _pair_uniforms(graph.n, rng)
+    pairs = _pairs(graph.n)
+    u = np.zeros((graph.n, graph.n))
+    u[tuple(pairs)] = rng.random(pairs.shape[1])
+    i, j = np.array(candidates, dtype=np.intp).reshape(-1, 2).T
+    keep = u[i, j] < probs[i, j]
     adj = np.array(graph.adjacency, dtype=np.int8)
-    for i, j in candidates:
-        if u[i, j] < probs[i, j]:
-            adj[i, j] = 1
-            adj[j, i] = 1
+    adj[np.r_[i[keep], j[keep]], np.r_[j[keep], i[keep]]] = 1
     return UndirectedGraph(adj)
 
 

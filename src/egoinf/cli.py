@@ -380,7 +380,7 @@ def _shape_problem(value, shape, where: str) -> str | None:
     return None
 
 
-def do_rerun(manifest_path: Path, out: Path) -> None:
+def do_rerun(manifest_path: Path, out: Path) -> int:
     try:
         manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
@@ -409,13 +409,9 @@ def do_rerun(manifest_path: Path, out: Path) -> None:
         state = "mismatch" if name in mismatched else "ok"
         print(f"rerun {name}: {state}")
     if mismatched:
-        raise EgoinfExit(1, f"rerun outputs differ: {', '.join(mismatched)}")
-
-
-class EgoinfExit(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+        print(f"rerun outputs differ: {', '.join(mismatched)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 # -- argument parsing --------------------------------------------------------
@@ -552,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args) -> None:
+def _dispatch(args) -> int:
     out = Path(args.out) if hasattr(args, "out") else None
     if getattr(args, "runs", 1) < 1:
         raise ConfigError(f"--runs must be at least 1, got {args.runs}")
@@ -599,15 +595,16 @@ def _dispatch(args) -> None:
         }
         do_sweep(config, out)
     elif args.command == "rerun":
-        do_rerun(Path(args.manifest), out)
+        return do_rerun(Path(args.manifest), out)
     else:  # pragma: no cover - argparse enforces the choices
         raise ConfigError(f"unknown command {args.command}")
+    return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _dispatch(args)
+        return _dispatch(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -617,10 +614,6 @@ def main(argv=None) -> int:
     except (DivergenceError, NumericsError) as exc:
         print(f"numerical divergence: {exc}", file=sys.stderr)
         return 4
-    except EgoinfExit as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
-    return 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,7 @@ derives what the models read from them once, on first read. The VGAE
 augmenter, the GAE branch, the reconstruction loss and the head read that
 one bundle; the head consumes [Z | encoder input], Z from the branch at
 forward time.
-Bundles are cached by sample id and adjacency.
+Bundles are cached by everything they are built from.
 """
 from __future__ import annotations
 
@@ -96,18 +96,18 @@ class FeatureStore:
 
     Walk embeddings are drawn from the stream (seed, "deepwalk", sample_id),
     so a sample's features do not depend on which other samples were
-    processed first. The cache key includes the adjacency bytes: augmented
-    variants built under different settings may share a sample id but not
-    a graph.
+    processed first. The cache key is everything a bundle is built from:
+    augmented variants may share a sample id but not a graph, and two
+    datasets may share an id but not an ego or a state.
     """
 
     def __init__(self, seed: int, dw: DeepWalkConfig):
         self.seed = seed
         self.dw = dw
-        self._cache: dict[tuple[str, bytes], FeatureBundle] = {}
+        self._cache: dict[tuple[str, int, bytes, bytes], FeatureBundle] = {}
 
     def bundle(self, s: EgoSample) -> FeatureBundle:
-        key = (s.sample_id, s.graph.adjacency.tobytes())
+        key = (s.sample_id, s.ego, s.influence_state.tobytes(), s.graph.adjacency.tobytes())
         hit = self._cache.get(key)
         if hit is not None:
             return hit

@@ -552,3 +552,21 @@ def per_graph_pretrain(model, bundles, cfg, variational):
         row = {key: sum(r[key] for r in records) / len(records) for key in records[0]}
         trace.append({**row, "total": sum(row.values())})
     return trace
+
+
+def oracle_sample_augmentation(graph, candidates, probs, rng):
+    """One augmented copy, candidate by candidate: one uniform per node pair
+    i < j drawn in row-major order, and candidate (i, j) added in both
+    triangles when its pair's uniform is below its probability."""
+    from egoinf.graphs import UndirectedGraph
+
+    n = graph.n
+    u = np.zeros((n, n))
+    i, j = np.triu_indices(n, k=1)
+    u[i, j] = rng.random(i.size)
+    adj = np.array(graph.adjacency, dtype=np.int8)
+    for i, j in candidates:
+        if u[i, j] < probs[i, j]:
+            adj[i, j] = 1
+            adj[j, i] = 1
+    return UndirectedGraph(adj)

@@ -15,7 +15,8 @@ from egoinf.errors import ConfigError
 from egoinf.graphs import EgoSample, UndirectedGraph
 from egoinf.rng import stream
 
-from .oracles import one_hot_bundle
+from .oracles import one_hot_bundle, oracle_sample_augmentation
+from .test_cascade import generator_state
 
 
 def make_sample(adj, ego=0, sid="s0"):
@@ -128,6 +129,45 @@ class TestSampleAugmentation:
         a1 = sample_augmentation(s.graph, cands, m, stream(9, "x"))
         a2 = sample_augmentation(s.graph, cands, m, stream(9, "x"))
         np.testing.assert_array_equal(a1.adjacency, a2.adjacency)
+
+
+def candidate_lists(n, probs, adj, rng):
+    """Empty, partial and all-pair candidate lists for one graph: the
+    candidates at thresholds 0, 0.5 and 1, a random subset of all pairs in
+    shuffled order, and every pair, edges included."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    subset = [pairs[k] for k in rng.permutation(len(pairs))[: rng.integers(len(pairs) + 1)]]
+    return [candidate_edges(probs, adj, t) for t in (0.0, 0.5, 1.0)] + [[], subset, pairs]
+
+
+class TestSampleAugmentationOracle:
+    @pytest.mark.parametrize("block", range(4))
+    def test_matches_the_per_candidate_loop_byte_for_byte(self, block):
+        rng = np.random.default_rng(100 + block)
+        for trial in range(50):
+            n = int(rng.integers(2, 41))
+            s = random_sample(n, rng)
+            probs = rng.random((n, n))
+            probs = (probs + probs.T) / 2
+            for k, cands in enumerate(candidate_lists(n, probs, s.graph.adjacency, rng)):
+                got_rng, want_rng = stream(block, "oracle", trial, k), stream(block, "oracle", trial, k)
+                got = sample_augmentation(s.graph, cands, probs, got_rng)
+                want = oracle_sample_augmentation(s.graph, cands, probs, want_rng)
+                assert got.adjacency.dtype == want.adjacency.dtype
+                assert got.adjacency.tobytes() == want.adjacency.tobytes()
+                assert generator_state(got_rng) == generator_state(want_rng)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 40])
+    def test_a_copy_reads_one_double_per_pair_whatever_its_candidates(self, n):
+        rng = np.random.default_rng(n)
+        s = random_sample(n, rng)
+        probs = np.full((n, n), 0.5)
+        pairs = n * (n - 1) // 2
+        for cands in candidate_lists(n, probs, s.graph.adjacency, rng):
+            used, ref = stream(n, "advance"), stream(n, "advance")
+            sample_augmentation(s.graph, cands, probs, used)
+            ref.random(pairs)
+            assert generator_state(used) == generator_state(ref)
 
 
 class TestGenerateAugmentations:

@@ -606,6 +606,19 @@ DAMAGED_MANIFESTS = {
 }
 
 
+def test_rerun_with_a_changed_output_digest_exits_1(synth_dir, tmp_path, capsys):
+    manifest = json.loads((synth_dir / "manifest.json").read_text())
+    manifest["outputs"]["dataset.jsonl"] = "0" * 64
+    edited = tmp_path / "manifest.json"
+    edited.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["rerun", "--manifest", str(edited), "--out", str(tmp_path / "o")]) == 1
+    out, err = capsys.readouterr()
+    assert "rerun dataset.jsonl: mismatch" in out
+    assert "rerun dataset.jsonl.splits.json: ok" in out
+    assert err == "rerun outputs differ: dataset.jsonl\n"
+
+
 @pytest.mark.parametrize("case", sorted(DAMAGED_MANIFESTS))
 def test_damaged_manifest_exits_3(tmp_path, capsys, case):
     manifest = tmp_path / "manifest.json"

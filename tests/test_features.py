@@ -212,6 +212,20 @@ class TestFeatureStore:
         fa, fb = store.bundle(a), store.bundle(b)
         assert not np.array_equal(fa.adjacency, fb.adjacency)
 
+    def test_same_id_and_graph_with_another_ego_or_state_not_conflated(self):
+        # two datasets name their egos alike; one store may serve both
+        adj = [[0, 1, 1], [1, 0, 0], [1, 0, 0]]
+        samples = [
+            make_sample(adj, ego=0, state=[0, 1, 0], sid="s00000"),
+            make_sample(adj, ego=1, state=[0, 1, 0], sid="s00000"),
+            make_sample(adj, ego=0, state=[0, 0, 1], sid="s00000"),
+        ]
+        store = FeatureStore(0, DeepWalkConfig(dim=4, walks_per_node=2, walk_length=6))
+        for s in samples:
+            np.testing.assert_array_equal(store.bundle(s).encoder_input[:, :2], influence_features(s))
+        again = make_sample(adj, ego=1, state=[0, 1, 0], sid="s00000")
+        assert store.bundle(again) is store.bundle(samples[1])
+
 
 @st.composite
 def small_graphs(draw, symmetric=True):
