@@ -152,13 +152,19 @@ def run_arm(
     return score_arm(model, test_samples, cfg, abl, seed, store, vgae)[1]
 
 
+def check_distinct(values: list, what: str) -> None:
+    """Raise ConfigError if ``values`` repeats one: a repeated seed, arm or
+    grid point would run twice and count twice in what is reported."""
+    if len(set(values)) != len(values):
+        raise ConfigError(f"duplicate {what} rejected: {values}")
+
+
 def check_run_seeds(seeds: list[int]) -> None:
     """Raise ConfigError unless ``seeds`` is a non-empty list of distinct
     stream seeds, before a run does any work."""
     if not seeds:
         raise ConfigError("no run seeds given")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"duplicate run seeds rejected: {seeds}")
+    check_distinct(seeds, "run seeds")
     for seed in seeds:
         check_seed(seed, "run seeds")
 
@@ -184,11 +190,12 @@ def seed_contexts(
 def run_ablation(
     dataset: Dataset, cfg: TrainConfig, arms: list[AblationConfig], seeds: list[int]
 ) -> MetricsReport:
-    """Run every arm with the same seed list; seeds must be distinct. Per
-    seed the arms share one FeatureStore and one pretrained augmenter
-    (``seed_contexts``)."""
+    """Run every arm with the same seed list; arms and seeds must be
+    distinct. Per seed the arms share one FeatureStore and one pretrained
+    augmenter (``seed_contexts``)."""
     if not arms:
         raise ConfigError("run_ablation: no arms given")
+    check_distinct([abl.arm for abl in arms], "arms")
     augments = any(abl.train_aug or abl.test_aug for abl in arms)
     records: list[RunRecord] = []
     for seed, _, store, vgae in seed_contexts(dataset, cfg, seeds, augments):

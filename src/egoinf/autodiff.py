@@ -4,7 +4,9 @@ Every trainable model in this package is built from the primitives below.
 An operation computes its result eagerly in numpy and records a node
 (inputs + backward rule) on the Tape unless the tape is no-grad
 (``Tape(grad=False)``, for inference); ``Tape.backward`` replays the
-records once, in reverse, accumulating gradients. Matrices are always
+records once, in reverse, accumulating gradients, and releases each
+node's rule, with the forward arrays it holds, as soon as it has run, so
+a tape takes one sweep and a second one is an error. Matrices are always
 2-D float64; scalars are 1x1 matrices. B equal-size graphs of n nodes
 are stacked by rows, (B*n, f); ``block_matmul`` and ``block_gram`` work on
 each graph's block of n rows. Inside an op numpy may use any shape:
@@ -119,16 +121,21 @@ def attention_weights(
 
 
 class Tape:
-    """Ordered record of primitive ops; supports one reverse sweep.
+    """Ordered record of primitive ops; takes one reverse sweep.
 
     Nodes only ever reference earlier nodes, so iterating the record
     backwards visits each node exactly once with its output gradient
-    fully accumulated. A no-grad tape (grad=False) computes the same
-    values but records no node, parent, backward rule or leaf.
+    fully accumulated. The sweep drops each node's backward rule and
+    parent links once the rule has run, so the arrays a rule closes over
+    (attention coefficients, dropout factors, cross-entropy terms) are
+    freed while the sweep goes on; the gradients stay readable through
+    ``grad``. A no-grad tape (grad=False) computes the same values but
+    records no node, parent, backward rule or leaf.
     """
 
     def __init__(self, grad: bool = True):
         self.grad_enabled = grad
+        self._swept = False
         self._nodes: list[Tensor] = []
         self._leaves: dict[int, Tensor] = {}
         self._grads: list[np.ndarray | None] = []
@@ -406,18 +413,26 @@ class Tape:
     # -- reverse sweep -----------------------------------------------------
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate gradients of a scalar loss into every reachable node."""
+        """Accumulate gradients of a scalar loss into every reachable node.
+
+        The tape's one sweep: each node it passes loses its backward rule
+        and parent links, and a second call raises ConfigError.
+        """
         if not self.grad_enabled:
             raise ConfigError("backward on a no-grad tape, which records nothing")
+        if self._swept:
+            raise ConfigError("backward on a tape already swept; record a new tape")
         if loss.shape != (1, 1):
             raise ConfigError(f"backward needs a scalar (1x1) loss, got {loss.shape}")
+        self._swept = True
         grads: list[np.ndarray | None] = [None] * (loss.idx + 1)
         grads[loss.idx] = np.ones((1, 1))
         for node in reversed(self._nodes[: loss.idx + 1]):
-            g = grads[node.idx]
-            if g is None or node.grad_fn is None:
+            g, grad_fn, parents = grads[node.idx], node.grad_fn, node.parents
+            node.grad_fn, node.parents = None, ()
+            if g is None or grad_fn is None:
                 continue
-            for parent, pg in zip(node.parents, node.grad_fn(g)):
+            for parent, pg in zip(parents, grad_fn(g)):
                 if grads[parent.idx] is None:
                     grads[parent.idx] = pg
                 else:

@@ -21,6 +21,7 @@ import typing
 from pathlib import Path
 
 from .ablation import (
+    check_distinct,
     check_run_seeds,
     fit_arm,
     run_ablation,
@@ -307,9 +308,10 @@ def do_sweep(config: dict, out: Path) -> None:
     if cast is None:
         raise ConfigError(f"sweep mode must be count or threshold, got {mode}")
     grid = config["grid"]
+    values = [cast(v) for v in grid]
+    check_distinct(values, f"{mode} sweep values")
     points = [
-        dataclasses.replace(cfg, aug=dataclasses.replace(cfg.aug, **{mode: cast(v)}))
-        for v in grid
+        dataclasses.replace(cfg, aug=dataclasses.replace(cfg.aug, **{mode: v})) for v in values
     ]
 
     rows = []

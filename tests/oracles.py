@@ -425,6 +425,20 @@ def oracle_candidate_egos(adj, active):
     return np.flatnonzero(near & (active == 0))
 
 
+def oracle_backward(tape, loss):
+    """Every node's gradient, indexed by node, from a reverse sweep that
+    keeps each node's rule and parents: the reference for Tape.backward."""
+    grads = [None] * (loss.idx + 1)
+    grads[loss.idx] = np.ones((1, 1))
+    for node in reversed(tape._nodes[: loss.idx + 1]):
+        g = grads[node.idx]
+        if g is None or node.grad_fn is None:
+            continue
+        for parent, pg in zip(node.parents, node.grad_fn(g)):
+            grads[parent.idx] = pg if grads[parent.idx] is None else grads[parent.idx] + pg
+    return grads
+
+
 def grad_check(f, params, step=1e-5, tol=1e-4):
     """Compare analytic gradients of f against central finite differences.
 

@@ -52,6 +52,16 @@ class TestReportShape:
                 DATASET, tiny_config(), [AblationConfig.from_arm(1)], seeds=[7, 7]
             )
 
+    def test_duplicate_arms_rejected_before_any_run(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(ablation, "pretrain_augmenter", fail)
+        monkeypatch.setattr(ablation, "run_arm", fail)
+        arms = [AblationConfig.from_arm(a) for a in (2, 8, 2)]
+        with pytest.raises(ConfigError, match=r"duplicate arms rejected: \[2, 8, 2\]"):
+            run_ablation(DATASET, tiny_config(), arms, seeds=[100, 101])
+
     def test_empty_arm_list_rejected(self):
         with pytest.raises(ConfigError):
             run_ablation(DATASET, tiny_config(), [], seeds=[100])

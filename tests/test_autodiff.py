@@ -11,6 +11,7 @@ from .oracles import (
     grad_check,
     oracle_masked_sigmoid,
     leaky_relu,
+    oracle_backward,
     row_softmax_masked,
     tape_mean,
     tape_sum,
@@ -229,6 +230,49 @@ def every_op_forward(t, x, w, mask):
     head = t.add(tape_mean(t, z), tape_sum(t, t.slice_rows(z, 0, 1)))
     head = t.add(head, t.logsumexp(t.block_gram(z, 2)))
     return t.add(head, t.add(kl, t.add(bce, t.logsumexp(z))))
+
+
+class TestOneSweep:
+    """backward is a tape's one sweep: each node it passes loses its rule
+    and parent links, every gradient stays readable, a second call fails."""
+
+    @staticmethod
+    def record():
+        rng = np.random.default_rng(31)
+        x, w = rng.standard_normal((4, 5)), rng.standard_normal((5, 3))
+        mask = np.eye(4) + (rng.random((4, 4)) < 0.5)
+        t = Tape()
+        t.exp(t.leaf(w))  # a branch the loss does not reach
+        dropped = t.dropout(t.matmul(t.leaf(x), t.leaf(w)), 0.5, np.random.default_rng(3))
+        loss = t.add(every_op_forward(t, x, w, mask), tape_sum(t, dropped))
+        return t, loss, x, w
+
+    def test_gradients_match_a_sweep_that_keeps_every_rule(self):
+        t, loss, x, w = self.record()
+        want = oracle_backward(t, loss)
+        t, loss, x, w = self.record()
+        t.backward(loss)
+        for node in t._nodes:
+            ref = want[node.idx] if want[node.idx] is not None else np.zeros(node.shape)
+            assert t.grad(node).tobytes() == ref.tobytes()
+        for leaf in (x, w):
+            assert t.grad(leaf).tobytes() == want[t.leaf(leaf).idx].tobytes()
+
+    def test_no_node_keeps_a_rule_or_parent_links(self):
+        t, loss, _, _ = self.record()
+        assert sum(node.grad_fn is not None for node in t._nodes) > 20
+        t.backward(loss)
+        assert all(node.grad_fn is None and node.parents == () for node in t._nodes)
+
+    def test_second_backward_is_a_config_error(self):
+        t, loss, x, _ = self.record()
+        with pytest.raises(ConfigError, match="scalar"):
+            t.backward(t.leaf(x))  # a rejected loss leaves the tape unswept
+        t.backward(loss)
+        dx = t.grad(x).copy()
+        with pytest.raises(ConfigError, match="already swept"):
+            t.backward(loss)
+        np.testing.assert_array_equal(t.grad(x), dx)
 
 
 class TestNoGradTape:

@@ -715,6 +715,22 @@ def test_malformed_list_flag_exits_2(synth_dir, tmp_path, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["ablate", "--arms", "2,2"], "duplicate arms rejected: [2, 2]"),
+    (["sweep", "--sweep", "threshold", "--grid", "0.5,0.9,0.50"],
+     "duplicate threshold sweep values rejected: [0.5, 0.9, 0.5]"),
+    (["sweep", "--sweep", "count", "--grid", "2,1,2.0"],
+     "duplicate count sweep values rejected: [2, 1, 2]"),
+], ids=["ablate-arms", "sweep-threshold", "sweep-count"])
+def test_repeated_arm_or_grid_value_exits_2_before_any_work(
+    synth_dir, tmp_path, capsys, no_pretraining, no_features, argv, message
+):
+    data = ["--data", str(synth_dir / "dataset.jsonl"), "--out", str(tmp_path / "o")]
+    assert main([*argv, *data, *FAST_TRAIN_FLAGS, "--runs", "2"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.fixture
 def no_pretraining(monkeypatch):
     from egoinf import ablation
@@ -828,6 +844,10 @@ def test_negative_seed_flag_exits_2_before_any_work(
     pytest.param("train", "train.aug.seed", -5, SEED_REJECTED, id="train-train.aug.seed--5"),
     pytest.param("ablate", "seeds", [-1], SEED_REJECTED, id="ablate-seeds-value3"),
     pytest.param("sweep", "seeds", [0, -1], SEED_REJECTED, id="sweep-seeds-value4"),
+    pytest.param("ablate", "arms", [8, 1, 8], "duplicate arms rejected: [8, 1, 8]",
+                 id="ablate-duplicate-arms"),
+    pytest.param("sweep", "grid", [1, 2.0, 2], "duplicate count sweep values rejected: [1, 2, 2]",
+                 id="sweep-duplicate-grid"),
     pytest.param("train", "train.batch_size", 0, "batch_size must be >= 1, got 0",
                  id="batch-size-0"),
     pytest.param("train", "train.batch_size", -4, "batch_size must be >= 1, got -4",
