@@ -34,7 +34,7 @@ from .cascade import CascadeConfig, generate_dataset
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, DivergenceError, NumericsError
 from .features import FeatureStore, feature_width
-from .graphs import load_dataset, save_dataset
+from .graphs import load_dataset, save_dataset, splits_path
 from .training import (
     ARM_FLAGS,
     AblationConfig,
@@ -84,11 +84,6 @@ def _write_manifest(out: Path, command: str, config: dict, inputs: list[Path]) -
         "outputs": outputs,
     }
     _write_json(out / MANIFEST_NAME, manifest)
-
-
-def _dataset_inputs(data_path: str) -> list[Path]:
-    p = Path(data_path)
-    return [p, Path(str(p) + ".splits.json")]
 
 
 # -- config (de)serialization ------------------------------------------------
@@ -196,12 +191,11 @@ def do_synth(config: dict, out: Path) -> None:
         f"(positives {pos}, negatives {neg}, minority "
         f"{min(pos, neg) / len(dataset.samples):.1%})"
     )
-    _write_manifest(out, "synth", config, [])
 
 
 def do_train(config: dict, out: Path) -> None:
     cfg = config_from_dict(TrainConfig, config["train"])
-    arm = int(config["arm"])
+    arm = config["arm"]
     abl = AblationConfig.from_arm(arm)
     dataset = load_dataset(config["data"])
 
@@ -213,17 +207,15 @@ def do_train(config: dict, out: Path) -> None:
     save_joint_model(out / "model.ckpt", model, cfg, arm)
     _write_jsonl(out / "trace.jsonl", trace)
     print(f"arm {arm}: trained {cfg.epochs} epochs, final loss {trace[-1]['loss']:.4f}")
-    _write_manifest(out, "train", config, _dataset_inputs(config["data"]))
 
 
 def do_eval(config: dict, out: Path) -> None:
     model, cfg, ckpt_arm = load_joint_model(Path(config["model_ckpt"]))
-    vgae_path = config.get("vgae_ckpt")
-    vgae = load_vgae(Path(vgae_path), cfg) if vgae_path else None
-    arm = ckpt_arm if config["arm"] is None else int(config["arm"])
+    vgae = load_vgae(Path(config["vgae_ckpt"]), cfg) if config["vgae_ckpt"] else None
+    arm = ckpt_arm if config["arm"] is None else config["arm"]
     abl = AblationConfig.from_arm(arm)
     dataset = load_dataset(config["data"])
-    split = config.get("split", "test")
+    split = config["split"]
     samples = dataset.split_samples(split)
     if abl.test_aug and cfg.aug.count > 0 and vgae is None:
         raise ConfigError(
@@ -247,17 +239,13 @@ def do_eval(config: dict, out: Path) -> None:
         f"arm {arm} on {split}: auc {record.auc:.4f}, f1 {record.f1:.4f} "
         f"({len(samples)} samples)"
     )
-    inputs = _dataset_inputs(config["data"]) + [Path(config["model_ckpt"])]
-    if vgae_path:
-        inputs.append(Path(vgae_path))
-    _write_manifest(out, "eval", config, inputs)
 
 
 def do_ablate(config: dict, out: Path) -> None:
     cfg = config_from_dict(TrainConfig, config["train"])
-    dataset = load_dataset(config["data"])
     arms = [AblationConfig.from_arm(a) for a in config["arms"]]
-    report = run_ablation(dataset, cfg, arms, list(config["seeds"]))
+    check_distinct(config["arms"], "arms")  # before the dataset is read
+    report = run_ablation(load_dataset(config["data"]), cfg, arms, config["seeds"])
 
     out.mkdir(parents=True, exist_ok=True)
     _write_jsonl(
@@ -272,7 +260,6 @@ def do_ablate(config: dict, out: Path) -> None:
     _write_json(out / "summary.json", summary)
     (out / "table.txt").write_text(report.table() + "\n", encoding="utf-8")
     print(report.table())
-    _write_manifest(out, "ablate", config, _dataset_inputs(config["data"]))
 
 
 def _augmentation_edge_stats(samples, vgae, aug_cfg, store) -> float:
@@ -298,8 +285,7 @@ def _sweep_count(value) -> int:
 def do_sweep(config: dict, out: Path) -> None:
     cfg = config_from_dict(TrainConfig, config["train"])
     check_run_seeds(config["seeds"])
-    dataset = load_dataset(config["data"])
-    arm = int(config["arm"])
+    arm = config["arm"]
     abl = AblationConfig.from_arm(arm)
     if not (abl.train_aug or abl.test_aug):
         raise ConfigError(f"sweep needs an arm with augmentation, got arm {arm}")
@@ -313,6 +299,7 @@ def do_sweep(config: dict, out: Path) -> None:
     points = [
         dataclasses.replace(cfg, aug=dataclasses.replace(cfg.aug, **{mode: v})) for v in values
     ]
+    dataset = load_dataset(config["data"])
 
     rows = []
     for seed, train, store, vgae in seed_contexts(dataset, cfg, config["seeds"], augments=True):
@@ -328,33 +315,36 @@ def do_sweep(config: dict, out: Path) -> None:
             )
     out.mkdir(parents=True, exist_ok=True)
     _write_jsonl(out / "sweep.jsonl", rows)
-    _write_manifest(out, "sweep", config, _dataset_inputs(config["data"]))
 
 
+# Each command's runner and the JSON shape of its config: _dispatch fills
+# the shape's keys from the flags (_READERS), and rerun checks a manifest's
+# config against it. A dataclass stands for an object with exactly its
+# fields; lists are non-empty.
 _COMMANDS = {
-    "synth": do_synth,
-    "train": do_train,
-    "eval": do_eval,
-    "ablate": do_ablate,
-    "sweep": do_sweep,
+    "synth": (do_synth, {"cascade": CascadeConfig}),
+    "train": (do_train, {"data": str, "arm": int, "train": TrainConfig}),
+    "eval": (do_eval, {"data": str, "model_ckpt": str, "vgae_ckpt": str | None,
+                       "arm": int | None, "split": str}),
+    "ablate": (do_ablate, {"data": str, "arms": list[int], "seeds": list[int],
+                           "train": TrainConfig}),
+    "sweep": (do_sweep, {"data": str, "arm": int, "mode": str, "grid": list[float],
+                         "seeds": list[int], "train": TrainConfig}),
 }
 
 
-# The JSON shape of each command's config as _dispatch writes it. A
-# dataclass stands for an object with exactly its fields; lists are non-empty.
-_CONFIG_SHAPES = {
-    "synth": {"cascade": CascadeConfig},
-    "train": {"data": str, "arm": int, "train": TrainConfig},
-    "eval": {"data": str, "model_ckpt": str, "vgae_ckpt": str | None,
-             "arm": int | None, "split": str},
-    "ablate": {"data": str, "arms": list[int], "seeds": list[int], "train": TrainConfig},
-    "sweep": {"data": str, "arm": int, "mode": str, "grid": list[float],
-              "seeds": list[int], "train": TrainConfig},
-}
+def _run(command: str, config: dict, out: Path) -> None:
+    """Run command, then write its manifest. Its inputs are the files its
+    config names: the dataset with its splits sidecar, and checkpoints."""
+    _COMMANDS[command][0](config, out)
+    inputs = [Path(config[k]) for k in ("data", "model_ckpt", "vgae_ckpt") if config.get(k)]
+    if "data" in config:
+        inputs.append(splits_path(Path(config["data"])))
+    _write_manifest(out, command, config, inputs)
 
 
 def _shape_problem(value, shape, where: str) -> str | None:
-    """How value departs from shape (see _CONFIG_SHAPES), or None."""
+    """How value departs from shape (see _COMMANDS), or None."""
     if dataclasses.is_dataclass(shape):
         hints = typing.get_type_hints(shape)
         shape = {f.name: hints[f.name] for f in dataclasses.fields(shape)}
@@ -394,11 +384,11 @@ def do_rerun(manifest_path: Path, out: Path) -> int:
         raise DataError(f"{manifest_path}: manifest names unknown command {command!r}")
     if not isinstance(manifest.get("outputs"), dict):
         raise DataError(f"{manifest_path}: manifest 'outputs' is not a JSON object")
-    problem = _shape_problem(manifest.get("config"), _CONFIG_SHAPES[command], "config")
+    problem = _shape_problem(manifest.get("config"), _COMMANDS[command][1], "config")
     if problem:
         raise DataError(f"{manifest_path}: manifest {problem}")
     try:
-        _COMMANDS[command](manifest["config"], out)
+        _run(command, manifest["config"], out)
     except ConfigError as exc:  # every setting came from the manifest
         raise DataError(f"{manifest_path}: manifest config rejected: {exc}") from exc
     fresh = json.loads((out / MANIFEST_NAME).read_text(encoding="utf-8"))
@@ -420,11 +410,15 @@ def do_rerun(manifest_path: Path, out: Path) -> int:
 
 
 def _comma_list(cast):
-    """argparse type for comma-separated values; argparse turns a value that
-    cast rejects into a usage error (exit 2)."""
+    """argparse type for a non-empty list of comma-separated values;
+    argparse turns an empty list, or a value that cast rejects, into a
+    usage error (exit 2)."""
 
     def parse(text: str) -> list:
-        return [cast(v) for v in text.split(",") if v]
+        values = [cast(v) for v in text.split(",") if v]
+        if not values:
+            raise ValueError(f"no values in {text!r}")
+        return values
 
     parse.__name__ = f"comma-separated {cast.__name__}"
     return parse
@@ -502,6 +496,29 @@ def _config_from_flags(args, cls, table) -> dict:
     return dataclasses.asdict(config_from_dict(cls, config))
 
 
+def _grid_from_flags(args) -> list:
+    """--grid, or the sweep mode's default grid; a count grid as ints."""
+    if args.grid is None:
+        return list(range(1, 9)) if args.sweep == "count" else [0.6, 0.7, 0.8, 0.9]
+    return [_sweep_count(v) for v in args.grid] if args.sweep == "count" else args.grid
+
+
+# How _dispatch reads each config key (see _COMMANDS) from the flags.
+_READERS = {
+    "cascade": lambda args: _config_from_flags(args, CascadeConfig, _SYNTH_FLAGS),
+    "train": lambda args: _config_from_flags(args, TrainConfig, _TRAIN_FLAGS),
+    "data": lambda args: str(Path(args.data).resolve()),
+    "model_ckpt": lambda args: str(Path(args.model_ckpt).resolve()),
+    "vgae_ckpt": lambda args: str(Path(args.vgae).resolve()) if args.vgae else None,
+    "arm": lambda args: args.arm,
+    "arms": lambda args: args.arms,
+    "split": lambda args: args.split,
+    "mode": lambda args: args.sweep,
+    "grid": _grid_from_flags,
+    "seeds": lambda args: [args.seed + i for i in range(args.runs)],
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="egoinf",
@@ -551,55 +568,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> int:
-    out = Path(args.out) if hasattr(args, "out") else None
+    out = Path(args.out)
+    if args.command == "rerun":
+        return do_rerun(Path(args.manifest), out)
     if getattr(args, "runs", 1) < 1:
         raise ConfigError(f"--runs must be at least 1, got {args.runs}")
-    if args.command == "synth":
-        config = {"cascade": _config_from_flags(args, CascadeConfig, _SYNTH_FLAGS)}
-        do_synth(config, out)
-    elif args.command == "train":
-        config = {
-            "data": str(Path(args.data).resolve()),
-            "arm": args.arm,
-            "train": _config_from_flags(args, TrainConfig, _TRAIN_FLAGS),
-        }
-        do_train(config, out)
-    elif args.command == "eval":
-        config = {
-            "data": str(Path(args.data).resolve()),
-            "model_ckpt": str(Path(args.model_ckpt).resolve()),
-            "vgae_ckpt": str(Path(args.vgae).resolve()) if args.vgae else None,
-            "arm": args.arm,
-            "split": args.split,
-        }
-        do_eval(config, out)
-    elif args.command == "ablate":
-        config = {
-            "data": str(Path(args.data).resolve()),
-            "arms": args.arms,
-            "seeds": [args.seed + i for i in range(args.runs)],
-            "train": _config_from_flags(args, TrainConfig, _TRAIN_FLAGS),
-        }
-        do_ablate(config, out)
-    elif args.command == "sweep":
-        grid = args.grid
-        if grid is None:
-            grid = list(range(1, 9)) if args.sweep == "count" else [0.6, 0.7, 0.8, 0.9]
-        elif args.sweep == "count":
-            grid = [_sweep_count(v) for v in grid]
-        config = {
-            "data": str(Path(args.data).resolve()),
-            "arm": args.arm,
-            "mode": args.sweep,
-            "grid": grid,
-            "seeds": [args.seed + i for i in range(args.runs)],
-            "train": _config_from_flags(args, TrainConfig, _TRAIN_FLAGS),
-        }
-        do_sweep(config, out)
-    elif args.command == "rerun":
-        return do_rerun(Path(args.manifest), out)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ConfigError(f"unknown command {args.command}")
+    shape = _COMMANDS[args.command][1]
+    _run(args.command, {key: _READERS[key](args) for key in shape}, out)
     return 0
 
 

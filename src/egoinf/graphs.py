@@ -166,7 +166,8 @@ def _int_list(values, what: str) -> list[int]:
     return values
 
 
-def _splits_path(path) -> Path:
+def splits_path(path) -> Path:
+    """The sidecar that holds a dataset file's splits and metadata."""
     return Path(str(path) + ".splits.json")
 
 
@@ -187,7 +188,7 @@ def save_dataset(d: Dataset, path) -> None:
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
     sidecar = {name: [int(i) for i in d.splits.get(name, [])] for name in SPLIT_NAMES}
     sidecar["metadata"] = d.metadata
-    _splits_path(path).write_text(
+    splits_path(path).write_text(
         json.dumps(sidecar, separators=(",", ":"), sort_keys=False) + "\n",
         encoding="utf-8",
     )
@@ -247,7 +248,7 @@ def load_dataset(path) -> Dataset:
 
     splits: dict[str, list[int]] = {}
     metadata: dict[str, Any] = {}
-    sp = _splits_path(path)
+    sp = splits_path(path)
     if sp.exists():
         try:
             side = json.loads(sp.read_text(encoding="utf-8"))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -25,6 +26,18 @@ FAST_TRAIN_FLAGS = [
     "--dw-window", "2", "--dw-negatives", "2", "--dw-epochs", "1",
     "--aug-count", "1", "--aug-threshold", "0.5",
 ]
+
+
+def _assert_inputs(out: Path, *files: Path) -> None:
+    """out's manifest hashes exactly these input files, by resolved path."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == {
+        str(f.resolve()): hashlib.sha256(f.read_bytes()).hexdigest() for f in files
+    }
+
+
+def _dataset_files(synth_dir: Path) -> tuple[Path, Path]:
+    return synth_dir / "dataset.jsonl", synth_dir / "dataset.jsonl.splits.json"
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +84,7 @@ class TestSynth:
         manifest = json.loads((synth_dir / "manifest.json").read_text())
         assert manifest["command"] == "synth"
         assert "dataset.jsonl" in manifest["outputs"]
+        _assert_inputs(synth_dir)
 
     def test_byte_identical_on_rerun(self, synth_dir, tmp_path):
         out2 = tmp_path / "again"
@@ -101,12 +115,13 @@ class TestSynth:
 
 
 class TestTrainEval:
-    def test_train_writes_checkpoints_trace_manifest(self, trained_dir):
+    def test_train_writes_checkpoints_trace_manifest(self, synth_dir, trained_dir):
         assert (trained_dir / "model.ckpt").exists()
         assert (trained_dir / "vgae.ckpt").exists()
         assert (trained_dir / "trace.jsonl").exists()
         manifest = json.loads((trained_dir / "manifest.json").read_text())
         assert set(manifest["outputs"]) >= {"model.ckpt", "vgae.ckpt", "trace.jsonl"}
+        _assert_inputs(trained_dir, *_dataset_files(synth_dir))
 
     def test_eval_writes_metrics(self, synth_dir, trained_dir, tmp_path):
         out = tmp_path / "eval"
@@ -118,6 +133,8 @@ class TestTrainEval:
         assert code == 0
         rows = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
         assert rows and set(rows[0]) == {"arm", "run_seed", "auc", "f1"}
+        _assert_inputs(out, *_dataset_files(synth_dir), trained_dir / "model.ckpt",
+                       trained_dir / "vgae.ckpt")
 
     def test_eval_tta_without_vgae_is_config_error(self, synth_dir, trained_dir, tmp_path):
         code = main([
@@ -129,9 +146,10 @@ class TestTrainEval:
 
     def test_eval_arm1_ignores_vgae(self, synth_dir, trained_dir, tmp_path):
         outs = []
-        for name, vgae_flags in (
-            ("with", ["--vgae", str(trained_dir / "vgae.ckpt")]),
-            ("without", []),
+        vgae = trained_dir / "vgae.ckpt"
+        for name, vgae_flags, vgae_files in (
+            ("with", ["--vgae", str(vgae)], [vgae]),
+            ("without", [], []),
         ):
             out = tmp_path / name
             code = main([
@@ -141,6 +159,8 @@ class TestTrainEval:
             ])
             assert code == 0
             outs.append((out / "metrics.jsonl").read_bytes())
+            _assert_inputs(out, *_dataset_files(synth_dir), trained_dir / "model.ckpt",
+                           *vgae_files)
         assert outs[0] == outs[1]
 
     def test_missing_checkpoint_is_data_error(self, synth_dir, tmp_path):
@@ -162,6 +182,7 @@ class TestAblateSweepRerun:
         assert code == 0
         rows = [json.loads(l) for l in (out / "metrics.jsonl").read_text().splitlines()]
         assert len(rows) == 4
+        _assert_inputs(out, *_dataset_files(synth_dir))
         out2 = tmp_path / "abl-rerun"
         code = main(["rerun", "--manifest", str(out / "manifest.json"), "--out", str(out2)])
         assert code == 0
@@ -191,6 +212,7 @@ class TestAblateSweepRerun:
         rows = [json.loads(l) for l in (out / "sweep.jsonl").read_text().splitlines()]
         assert [r["value"] for r in rows] == [0, 2]
         assert all(0.0 <= r["auc"] <= 1.0 for r in rows)
+        _assert_inputs(out, *_dataset_files(synth_dir))
 
     def test_ablate_all_eight_arms(self, synth_dir, tmp_path):
         out = tmp_path / "abl8"
@@ -708,8 +730,10 @@ def test_no_runs_exits_2(synth_dir, tmp_path, no_pretraining, command, runs):
     ["ablate", "--arms", "1,x"],
     ["sweep", "--sweep", "threshold", "--grid", "abc"],
     ["sweep", "--sweep", "count", "--grid", "1.5"],
+    ["ablate", "--arms", ","],
+    ["sweep", "--sweep", "count", "--grid", ","],
 ])
-def test_malformed_list_flag_exits_2(synth_dir, tmp_path, argv):
+def test_malformed_list_flag_exits_2(synth_dir, tmp_path, no_work, argv):
     data = ["--data", str(synth_dir / "dataset.jsonl"), "--out", str(tmp_path / "o")]
     assert _exit_code([*argv, *data, *FAST_TRAIN_FLAGS]) == 2
     assert not (tmp_path / "o").exists()
@@ -721,12 +745,19 @@ def test_malformed_list_flag_exits_2(synth_dir, tmp_path, argv):
      "duplicate threshold sweep values rejected: [0.5, 0.9, 0.5]"),
     (["sweep", "--sweep", "count", "--grid", "2,1,2.0"],
      "duplicate count sweep values rejected: [2, 1, 2]"),
-], ids=["ablate-arms", "sweep-threshold", "sweep-count"])
+    # the later --data wins: a dataset that does not exist is never looked for
+    (["ablate", "--arms", "2,2", "--data", "no-such-dir/dataset.jsonl"],
+     "duplicate arms rejected: [2, 2]"),
+    (["sweep", "--sweep", "count", "--grid", "1,1", "--data", "no-such-dir/dataset.jsonl"],
+     "duplicate count sweep values rejected: [1, 1]"),
+], ids=["ablate-arms", "sweep-threshold", "sweep-count", "ablate-arms-no-dataset",
+        "sweep-count-no-dataset"])
 def test_repeated_arm_or_grid_value_exits_2_before_any_work(
     synth_dir, tmp_path, capsys, no_pretraining, no_features, argv, message
 ):
+    command, *flags = argv
     data = ["--data", str(synth_dir / "dataset.jsonl"), "--out", str(tmp_path / "o")]
-    assert main([*argv, *data, *FAST_TRAIN_FLAGS, "--runs", "2"]) == 2
+    assert main([command, *data, *flags, *FAST_TRAIN_FLAGS, "--runs", "2"]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
