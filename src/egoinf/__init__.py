@@ -1,7 +1,7 @@
 """Social influence prediction on ego subgraphs with autoencoder-driven
 graph augmentation at train and test time."""
 
-from .ablation import MetricsReport, RunRecord, run_ablation, run_arm
+from .ablation import MetricsReport, RunRecord, Study, run_ablation, run_arm
 from .augment import AugmentationConfig
 from .autoenc import GaeModel, VgaeModel
 from .graphs import Dataset, EgoSample, UndirectedGraph, load_dataset, save_dataset
@@ -19,6 +19,7 @@ __all__ = [
     "MetricsReport",
     "ModelConfig",
     "RunRecord",
+    "Study",
     "TrainConfig",
     "UndirectedGraph",
     "VgaeModel",

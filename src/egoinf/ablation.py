@@ -159,46 +159,46 @@ def check_distinct(values: list, what: str) -> None:
         raise ConfigError(f"duplicate {what} rejected: {values}")
 
 
-def check_run_seeds(seeds: list[int]) -> None:
-    """Raise ConfigError unless ``seeds`` is a non-empty list of distinct
-    stream seeds, before a run does any work."""
-    if not seeds:
-        raise ConfigError("no run seeds given")
-    check_distinct(seeds, "run seeds")
-    for seed in seeds:
-        check_seed(seed, "run seeds")
+@dataclass(frozen=True)
+class Study:
+    """A study's arms and run seeds, checked once, when built and before any
+    dataset is read: at least one of each, none repeated, no negative seed."""
+
+    arms: tuple[AblationConfig, ...]
+    seeds: tuple[int, ...]
+
+    def __post_init__(self):
+        for what, values in (("arms", [a.arm for a in self.arms]), ("run seeds", list(self.seeds))):
+            if not values:
+                raise ConfigError(f"no {what} given")
+            check_distinct(values, what)
+        for seed in self.seeds:
+            check_seed(seed, "run seeds")
+
+    augments = property(lambda self: any(abl.train_aug or abl.test_aug for abl in self.arms))
 
 
 def seed_contexts(
-    dataset: Dataset, cfg: TrainConfig, seeds: list[int], augments: bool
+    dataset: Dataset, cfg: TrainConfig, study: Study
 ) -> Iterator[tuple[int, list[EgoSample], FeatureStore, VgaeModel | None]]:
-    """Per run seed, after checking the seeds and both splits: the seed, the
-    train split, and the one FeatureStore and pretrained augmenter (None
-    unless ``augments``) that every run of the seed shares; pretraining
-    reads no arm switch or augmentation field."""
-    check_run_seeds(seeds)
+    """Per run seed, after checking both splits: the seed, the train split, and
+    the one FeatureStore and augmenter (None unless the study augments) that
+    its runs share; pretraining reads no arm switch or augmentation field."""
     train_samples = train_split(dataset)
     dataset.split_samples("test")  # an empty test split fails before any work
-    for seed in seeds:
+    for seed in study.seeds:
         store = FeatureStore(seed, cfg.deepwalk)
         vgae = None
-        if augments:
+        if study.augments:
             vgae = pretrain_augmenter(train_samples, run_config_with_seed(cfg, seed), store, seed)
         yield seed, train_samples, store, vgae
 
 
-def run_ablation(
-    dataset: Dataset, cfg: TrainConfig, arms: list[AblationConfig], seeds: list[int]
-) -> MetricsReport:
-    """Run every arm with the same seed list; arms and seeds must be
-    distinct. Per seed the arms share one FeatureStore and one pretrained
-    augmenter (``seed_contexts``)."""
-    if not arms:
-        raise ConfigError("run_ablation: no arms given")
-    check_distinct([abl.arm for abl in arms], "arms")
-    augments = any(abl.train_aug or abl.test_aug for abl in arms)
+def run_ablation(dataset: Dataset, cfg: TrainConfig, study: Study) -> MetricsReport:
+    """Run every arm of the study with its seeds. Per seed the arms share
+    one FeatureStore and one pretrained augmenter (``seed_contexts``)."""
     records: list[RunRecord] = []
-    for seed, _, store, vgae in seed_contexts(dataset, cfg, seeds, augments):
-        for abl in arms:
+    for seed, _, store, vgae in seed_contexts(dataset, cfg, study):
+        for abl in study.arms:
             records.append(run_arm(dataset, cfg, abl, seed, store=store, vgae=vgae))
     return MetricsReport(records=records)

@@ -21,8 +21,8 @@ import typing
 from pathlib import Path
 
 from .ablation import (
+    Study,
     check_distinct,
-    check_run_seeds,
     fit_arm,
     run_ablation,
     run_arm,
@@ -34,7 +34,7 @@ from .cascade import CascadeConfig, generate_dataset
 from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigError, DataError, DivergenceError, NumericsError
 from .features import FeatureStore, feature_width
-from .graphs import load_dataset, save_dataset, splits_path
+from .graphs import SPLIT_NAMES, load_dataset, save_dataset, splits_path
 from .training import (
     ARM_FLAGS,
     AblationConfig,
@@ -210,18 +210,19 @@ def do_train(config: dict, out: Path) -> None:
 
 
 def do_eval(config: dict, out: Path) -> None:
+    split = config["split"]
+    if split not in SPLIT_NAMES:
+        raise ConfigError(f"split must be one of {', '.join(SPLIT_NAMES)}, got {split!r}")
     model, cfg, ckpt_arm = load_joint_model(Path(config["model_ckpt"]))
     vgae = load_vgae(Path(config["vgae_ckpt"]), cfg) if config["vgae_ckpt"] else None
     arm = ckpt_arm if config["arm"] is None else config["arm"]
     abl = AblationConfig.from_arm(arm)
-    dataset = load_dataset(config["data"])
-    split = config["split"]
-    samples = dataset.split_samples(split)
     if abl.test_aug and cfg.aug.count > 0 and vgae is None:
         raise ConfigError(
             f"arm {arm} uses test-time augmentation; pass --vgae with the "
             "augmenter checkpoint written by train"
         )
+    samples = load_dataset(config["data"]).split_samples(split)
 
     store = FeatureStore(cfg.seed, cfg.deepwalk)
     scores, record = score_arm(model, samples, cfg, abl, cfg.seed, store, vgae)
@@ -243,9 +244,8 @@ def do_eval(config: dict, out: Path) -> None:
 
 def do_ablate(config: dict, out: Path) -> None:
     cfg = config_from_dict(TrainConfig, config["train"])
-    arms = [AblationConfig.from_arm(a) for a in config["arms"]]
-    check_distinct(config["arms"], "arms")  # before the dataset is read
-    report = run_ablation(load_dataset(config["data"]), cfg, arms, config["seeds"])
+    study = Study(tuple(map(AblationConfig.from_arm, config["arms"])), tuple(config["seeds"]))
+    report = run_ablation(load_dataset(config["data"]), cfg, study)
 
     out.mkdir(parents=True, exist_ok=True)
     _write_jsonl(
@@ -284,10 +284,10 @@ def _sweep_count(value) -> int:
 
 def do_sweep(config: dict, out: Path) -> None:
     cfg = config_from_dict(TrainConfig, config["train"])
-    check_run_seeds(config["seeds"])
     arm = config["arm"]
     abl = AblationConfig.from_arm(arm)
-    if not (abl.train_aug or abl.test_aug):
+    study = Study((abl,), tuple(config["seeds"]))
+    if not study.augments:
         raise ConfigError(f"sweep needs an arm with augmentation, got arm {arm}")
     mode = config["mode"]
     cast = {"count": _sweep_count, "threshold": float}.get(mode)
@@ -302,7 +302,7 @@ def do_sweep(config: dict, out: Path) -> None:
     dataset = load_dataset(config["data"])
 
     rows = []
-    for seed, train, store, vgae in seed_contexts(dataset, cfg, config["seeds"], augments=True):
+    for seed, train, store, vgae in seed_contexts(dataset, cfg, study):
         for value, cfg_point in zip(grid, points):
             aug = run_config_with_seed(cfg_point, seed).aug
             pct = _augmentation_edge_stats(train, vgae, aug, store)
@@ -542,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model-ckpt", required=True)
     p.add_argument("--vgae", default=None)
     p.add_argument("--arm", type=int, choices=ARM_FLAGS, default=None)
-    p.add_argument("--split", choices=("train", "valid", "test"), default="test")
+    p.add_argument("--split", choices=SPLIT_NAMES, default="test")
 
     p = sub.add_parser("ablate", help="run study arms with shared seeds")
     p.add_argument("--data", required=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from egoinf import ablation
-from egoinf.ablation import MetricsReport, RunRecord, run_ablation, run_arm
+from egoinf.ablation import MetricsReport, RunRecord, Study, run_ablation, run_arm
 from egoinf.augment import AugmentationConfig
 from egoinf.cascade import CascadeConfig, generate_dataset
 from egoinf.errors import ConfigError, DataError
@@ -13,6 +13,10 @@ from egoinf.training import AblationConfig, ModelConfig, TrainConfig
 DATASET = generate_dataset(
     CascadeConfig(graph_nodes=90, ws_k=8, seed_set_size=10, samples=24, n_target=10, seed=3)
 )
+
+
+def study(arms, seeds):
+    return Study(tuple(AblationConfig.from_arm(a) for a in arms), tuple(seeds))
 
 
 def tiny_config():
@@ -29,10 +33,7 @@ def tiny_config():
 
 class TestReportShape:
     def test_two_arms_two_runs(self):
-        report = run_ablation(
-            DATASET, tiny_config(), [AblationConfig.from_arm(1), AblationConfig.from_arm(2)],
-            seeds=[100, 101],
-        )
+        report = run_ablation(DATASET, tiny_config(), study((1, 2), (100, 101)))
         assert len(report.records) == 4
         assert {r.arm for r in report.records} == {1, 2}
         for r in report.records:
@@ -43,28 +44,29 @@ class TestReportShape:
         assert set(deltas) == {2}
 
     def test_empty_seed_list_rejected(self):
-        with pytest.raises(ConfigError, match="no run seeds"):
-            run_ablation(DATASET, tiny_config(), [AblationConfig.from_arm(1)], seeds=[])
+        with pytest.raises(ConfigError, match="no run seeds given"):
+            study((1,), ())
 
     def test_duplicate_seeds_rejected(self):
-        with pytest.raises(ConfigError, match="duplicate"):
-            run_ablation(
-                DATASET, tiny_config(), [AblationConfig.from_arm(1)], seeds=[7, 7]
-            )
+        with pytest.raises(ConfigError, match=r"duplicate run seeds rejected: \[7, 7\]"):
+            study((1,), (7, 7))
 
-    def test_duplicate_arms_rejected_before_any_run(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("work started")
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="run seeds must be a non-negative integer, got -1"):
+            study((1,), (3, -1))
 
-        monkeypatch.setattr(ablation, "pretrain_augmenter", fail)
-        monkeypatch.setattr(ablation, "run_arm", fail)
-        arms = [AblationConfig.from_arm(a) for a in (2, 8, 2)]
+    def test_duplicate_arms_rejected_before_any_run(self):
+        # a Study is built, and so checked, before any dataset is read
         with pytest.raises(ConfigError, match=r"duplicate arms rejected: \[2, 8, 2\]"):
-            run_ablation(DATASET, tiny_config(), arms, seeds=[100, 101])
+            study((2, 8, 2), (100, 101))
 
     def test_empty_arm_list_rejected(self):
-        with pytest.raises(ConfigError):
-            run_ablation(DATASET, tiny_config(), [], seeds=[100])
+        with pytest.raises(ConfigError, match="no arms given"):
+            study((), (100,))
+
+    def test_augments_when_any_arm_augments(self):
+        assert not study((1, 2), (100,)).augments
+        assert study((1, 4), (100,)).augments
 
 
 class TestSharedAugmenter:
@@ -81,26 +83,26 @@ class TestSharedAugmenter:
         return calls
 
     def test_one_pretraining_per_seed_and_records_match_run_arm(self, pretrain_calls):
-        arms = [AblationConfig.from_arm(a) for a in range(1, 9)]
-        report = run_ablation(DATASET, tiny_config(), arms, seeds=[100, 101])
+        ablation_study = study(range(1, 9), (100, 101))
+        report = run_ablation(DATASET, tiny_config(), ablation_study)
         assert pretrain_calls == [100, 101]
         del pretrain_calls[:]
         alone = [
-            run_arm(DATASET, tiny_config(), abl, seed) for seed in (100, 101) for abl in arms
+            run_arm(DATASET, tiny_config(), abl, seed)
+            for seed in (100, 101) for abl in ablation_study.arms
         ]
         assert len(pretrain_calls) == 12  # arms 3-8 pretrain their own augmenter
         assert report.records == alone
 
     def test_arms_without_augmentation_never_pretrain(self, pretrain_calls):
-        arms = [AblationConfig.from_arm(1), AblationConfig.from_arm(2)]
-        run_ablation(DATASET, tiny_config(), arms, seeds=[100])
+        run_ablation(DATASET, tiny_config(), study((1, 2), (100,)))
         assert pretrain_calls == []
 
     @pytest.mark.parametrize("split", ["train", "test"])
     def test_empty_split_fails_before_pretraining(self, pretrain_calls, split):
         empty = Dataset(DATASET.samples, {**DATASET.splits, split: []}, DATASET.metadata)
         with pytest.raises(DataError, match=f"dataset has no '{split}' split"):
-            run_ablation(empty, tiny_config(), [AblationConfig.from_arm(8)], seeds=[100])
+            run_ablation(empty, tiny_config(), study((8,), (100,)))
         assert pretrain_calls == []
 
 

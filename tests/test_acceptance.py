@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from egoinf.ablation import run_arm, run_ablation
+from egoinf.ablation import Study, run_arm, run_ablation
 from egoinf.augment import (
     AugmentationConfig,
     candidate_edges,
@@ -406,7 +406,7 @@ def test_c5_end_to_end_synthetic(default_dataset):
 def test_c6_ablation_harness(small_dataset):
     t0 = time.time()
     arms = [AblationConfig.from_arm(a) for a in range(1, 9)]
-    report_obj = run_ablation(small_dataset, SMALL_TRAIN, arms, seeds=[21, 22])
+    report_obj = run_ablation(small_dataset, SMALL_TRAIN, Study(tuple(arms), (21, 22)))
     all_rows = report_obj.records
     rows_ok = len(all_rows) == 16 and all(0.0 <= r.auc <= 1.0 for r in all_rows)
     deltas = report_obj.paired_deltas(1)

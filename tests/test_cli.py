@@ -875,8 +875,14 @@ def test_negative_seed_flag_exits_2_before_any_work(
     pytest.param("train", "train.aug.seed", -5, SEED_REJECTED, id="train-train.aug.seed--5"),
     pytest.param("ablate", "seeds", [-1], SEED_REJECTED, id="ablate-seeds-value3"),
     pytest.param("sweep", "seeds", [0, -1], SEED_REJECTED, id="sweep-seeds-value4"),
+    pytest.param("ablate", "seeds", [1, 1], "duplicate run seeds rejected: [1, 1]",
+                 id="ablate-duplicate-seeds"),
     pytest.param("ablate", "arms", [8, 1, 8], "duplicate arms rejected: [8, 1, 8]",
                  id="ablate-duplicate-arms"),
+    pytest.param("eval", "split", "bogus", "split must be one of train, valid, test, got 'bogus'",
+                 id="eval-split-bogus"),
+    pytest.param("eval", "arm", 5, "arm 5 uses test-time augmentation; pass --vgae",
+                 id="eval-arm5-without-vgae"),
     pytest.param("sweep", "grid", [1, 2.0, 2], "duplicate count sweep values rejected: [1, 2, 2]",
                  id="sweep-duplicate-grid"),
     pytest.param("train", "train.batch_size", 0, "batch_size must be >= 1, got 0",
@@ -915,15 +921,27 @@ def test_negative_seed_flag_exits_2_before_any_work(
                  id="dw-lr-nan"),
 ])
 def test_negative_seed_in_manifest_exits_3(
-    synth_dir, tmp_path, capsys, no_pretraining, no_features, command, path, value, message
+    synth_dir, trained_dir, tmp_path, capsys, no_work, command, path, value, message
 ):
     config = _valid_configs(str(synth_dir / "dataset.jsonl"))[command]
+    if command == "eval":
+        config["model_ckpt"] = str(trained_dir / "model.ckpt")
     _damage(config, path, value)
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"command": command, "config": config, "outputs": {}}))
     assert main(["rerun", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
     assert "data error" in err and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_eval_tta_arm_without_vgae_exits_2_before_reading_data(
+    trained_dir, tmp_path, capsys, no_work
+):
+    code = main(["eval", "--data", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "o"),
+                 "--model-ckpt", str(trained_dir / "model.ckpt"), "--arm", "5"])
+    assert code == 2
+    assert "arm 5 uses test-time augmentation; pass --vgae" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
