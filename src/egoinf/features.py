@@ -1,11 +1,13 @@
 """Per-sample node features and the one graph argument every model reads.
 
 A FeatureBundle holds a sample's encoder input, [influence | deepwalk]
-(action status, ego indicator, walk embeddings), and its adjacency, and
-derives what the models read from them once, on first read. The VGAE
-augmenter, the GAE branch, the reconstruction loss and the head read that
-one bundle; the head consumes [Z | encoder input], Z from the branch at
-forward time.
+(action status, ego indicator, walk embeddings), and its adjacency. It
+caches the attention layout, the reconstruction terms and the degree
+scale d = D^{-1/2} of A + I, each built on first read, and derives the
+normalized adjacency from d on each read, so it keeps no n x n float
+array. The VGAE augmenter, the GAE branch, the reconstruction loss and
+the head read that one bundle; the head consumes [Z | encoder input], Z
+from the branch at forward time.
 Bundles are cached by everything they are built from.
 """
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .deepwalk import DeepWalkConfig, deepwalk_embed
 from .errors import ConfigError
 from .graphs import EgoSample
-from .layers import EdgeLayout, attention_layout, normalized_adjacency
+from .layers import EdgeLayout, attention_layout, degree_scale, scaled_adjacency
 from .rng import stream
 
 
@@ -56,10 +58,11 @@ def reconstruction_terms(adjacency: np.ndarray) -> tuple[np.ndarray, float]:
 class FeatureBundle:
     """The one graph argument of every model: per-node features and the 0/1
     adjacency, kept as given (a FeatureStore bundle shares its graph's
-    read-only int8 adjacency). The normalized adjacency, attention layout
-    and reconstruction terms are each derived once, when first read, so a
-    bundle holds only what its readers use, and a bundle of an edgeless
-    graph can still be scored."""
+    read-only int8 adjacency). The attention layout, the reconstruction
+    terms and the degree scale d are each built once, when first read;
+    the normalized adjacency is derived from d and the adjacency on each
+    read. So a bundle holds only what its readers use and no n x n float
+    array, and a bundle of an edgeless graph can still be scored."""
 
     encoder_input: np.ndarray  # n x width, [influence | deepwalk]
     adjacency: np.ndarray  # n x n 0/1
@@ -73,8 +76,12 @@ class FeatureBundle:
         return self.encoder_input.shape[1]
 
     @functools.cached_property
-    def a_hat(self) -> np.ndarray:
-        return normalized_adjacency(self.adjacency)
+    def scale(self) -> np.ndarray:  # d = D^{-1/2} of A + I; checks the adjacency
+        return degree_scale(self.adjacency)
+
+    @property
+    def a_hat(self) -> np.ndarray:  # a new array on each read
+        return scaled_adjacency(self.adjacency, self.scale)
 
     @functools.cached_property
     def layout(self) -> EdgeLayout:  # adjacency + self-loops

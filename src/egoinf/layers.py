@@ -17,7 +17,9 @@ softmax cost O(H*E) over the E edges of the attention mask (neighbours
 plus self); the aggregation multiplies a dense (H, n, n) coefficient
 array with BLAS. The head reads its graph from the sample's feature
 bundle: its three GAT layers and their backward read the bundle's one
-edge layout (``EdgeLayout``), and a GCN layer its normalized adjacency.
+edge layout (``EdgeLayout``), built once per bundle, and its GCN layers
+one normalized adjacency, which the bundle derives on each read and the
+head reads once per forward.
 """
 from __future__ import annotations
 
@@ -44,6 +46,19 @@ def glorot(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 def normalized_adjacency(adj: np.ndarray) -> np.ndarray:
     """Symmetric degree normalization of the adjacency with self-loops:
     D^{-1/2} (A + I) D^{-1/2}, where D is the loop-augmented degree."""
+    return scaled_adjacency(adj, degree_scale(adj))
+
+
+def _with_self_loops(adj: np.ndarray) -> np.ndarray:
+    """A + I as a new float64 array; adj has a zero diagonal."""
+    at = np.array(adj, dtype=np.float64, order="C")
+    at.ravel()[:: at.shape[0] + 1] = 1.0  # a view: at is C-contiguous
+    return at
+
+
+def degree_scale(adj: np.ndarray) -> np.ndarray:
+    """D^{-1/2} as a length-n vector, D the degree of A + I, once adj is
+    checked to be a square symmetric adjacency with a zero diagonal."""
     a = np.asarray(adj, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"adjacency must be square, got {a.shape}")
@@ -51,9 +66,16 @@ def normalized_adjacency(adj: np.ndarray) -> np.ndarray:
         raise ConfigError("normalized_adjacency: adjacency is not symmetric")
     if np.diagonal(a).any():
         raise ConfigError("normalized_adjacency: adjacency has a nonzero diagonal")
-    at = a + np.eye(a.shape[0])
-    dinv = 1.0 / np.sqrt(at.sum(axis=1))
-    return at * dinv[:, None] * dinv[None, :]
+    return 1.0 / np.sqrt(_with_self_loops(a).sum(axis=1))
+
+
+def scaled_adjacency(adj: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """D^{-1/2} (A + I) D^{-1/2} from d = degree_scale(adj), unchecked: a
+    float64 copy of adj, its diagonal set to 1, scaled by rows then columns."""
+    at = _with_self_loops(adj)
+    at *= d[:, None]
+    at *= d[None, :]
+    return at
 
 
 @dataclass
@@ -233,8 +255,9 @@ def prediction_forward(
 ) -> Tensor:
     """Run the head on features h of the bundle's graph, ELU after every
     layer but the last; a GAT head attends over ``fb.layout``, a GCN head
-    aggregates with ``fb.a_hat``. drop_rng=None disables dropout (eval)."""
-    x = h
+    aggregates with ``fb.a_hat``, derived once per forward. drop_rng=None
+    disables dropout (eval)."""
+    x, a_hat = h, None
     for i, layer in enumerate(net.layers):
         if i:
             x = tape.elu(x)
@@ -242,7 +265,9 @@ def prediction_forward(
         if isinstance(layer, GatLayer):
             x = gat_forward(tape, layer, x, fb.layout)
         else:
-            x = gcn_forward(tape, layer, x, tape.leaf(fb.a_hat))
+            if a_hat is None:
+                a_hat = tape.leaf(fb.a_hat)
+            x = gcn_forward(tape, layer, x, a_hat)
     return x
 
 

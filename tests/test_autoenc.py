@@ -413,7 +413,5 @@ class TestPretrainingMemory:
             FeatureBundle(rng.standard_normal((30, 66)), random_graph(30, rng, p=0.2))
             for _ in range(4 * PRETRAIN_CHUNK)
         ]
-        for fb in bundles:  # derived before the fits: each peak counts only the fit
-            fb.a_hat, fb.recon_terms
         one_chunk = self.fit_peak(bundles[:PRETRAIN_CHUNK])
         assert self.fit_peak(bundles) < 2 * one_chunk

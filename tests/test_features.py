@@ -193,17 +193,21 @@ class TestFeatureStore:
 
             monkeypatch.setattr(features, name, wrapper)
 
-        for name in ("normalized_adjacency", "attention_layout", "reconstruction_terms"):
+        for name in ("degree_scale", "attention_layout", "reconstruction_terms"):
             counting(name)
         s = make_sample(random_adjacency(9, np.random.default_rng(4)), sid="lazy")
         fb = FeatureStore(0, DeepWalkConfig(dim=4, walks_per_node=2, walk_length=6)).bundle(s)
         assert built == {}
-        for field in ("a_hat", "layout", "recon_terms"):
+        for field in ("layout", "recon_terms"):
             first = getattr(fb, field)
             assert getattr(fb, field) is first
-        assert built == {
-            "normalized_adjacency": 1, "attention_layout": 1, "reconstruction_terms": 1,
-        }
+        # a_hat is derived on each read, from the degree scale the
+        # adjacency's one check builds
+        want = normalized_adjacency(fb.adjacency).tobytes()
+        reads = [fb.a_hat for _ in range(3)]
+        assert all(a.tobytes() == want for a in reads)
+        assert reads[0] is not reads[1]
+        assert built == {"degree_scale": 1, "attention_layout": 1, "reconstruction_terms": 1}
 
     def test_same_id_different_graph_not_conflated(self):
         a = make_sample([[0, 1], [1, 0]], sid="same")

@@ -406,6 +406,34 @@ class TestHeadOracle:
         assert (want < 0).any()  # an output ELU would change these
         np.testing.assert_allclose(got.values, want, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("grad", [True, False])
+    def test_gcn_head_derives_a_hat_once_per_forward(self, grad, monkeypatch):
+        # the bundle derives a_hat on each read; the head reads it once and
+        # its three layers share one leaf, with the bytes of a head whose
+        # layers read one precomputed normalized adjacency
+        from egoinf import features
+
+        derived = []
+        real = features.scaled_adjacency
+        monkeypatch.setattr(features, "scaled_adjacency",
+                            lambda adj, d: derived.append(1) or real(adj, d))
+        mc = ModelConfig()
+        f_in = mc.embed_dim + feature_width(DeepWalkConfig())
+        rng = rng_for(3)
+        net = build_prediction_net("gcn", f_in, mc.hidden, mc.heads, dropout=0.2, rng=rng)
+        n = 30
+        adj = ego_net(n, 0.15, rng)
+        h = rng.standard_normal((n, f_in))
+        t = Tape(grad=grad)
+        got = prediction_forward(t, net, t.leaf(h), FeatureBundle(h, adj), rng_for(4))
+        assert len(derived) == 1
+        t = Tape(grad=grad)
+        x, a_hat, drop = t.leaf(h), t.leaf(normalized_adjacency(adj)), rng_for(4)
+        for i, layer in enumerate(net.layers):
+            x = t.dropout(t.elu(x) if i else x, net.dropout, drop)
+            x = gcn_forward(t, layer, x, a_hat)
+        assert got.values.tobytes() == x.values.tobytes()
+
 
 class TestEgoNll:
     def test_uniform_logits_give_ln2(self):

@@ -296,12 +296,14 @@ class TestPredict:
 def test_each_bundle_normalizes_its_adjacency_once(monkeypatch):
     # every encoder reads A_hat from the sample's bundle: augmenter
     # pretraining, frozen GAE pretraining, train-time copies and test-time
-    # averaging add no normalization beyond the one each new bundle makes
+    # averaging check no adjacency and build no degree scale D^{-1/2}
+    # beyond the one each new bundle makes (A_hat itself is derived from it
+    # on each read)
     normalized = []
     for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "egoinf" and hasattr(module, "normalized_adjacency"):
-            real = module.normalized_adjacency
-            monkeypatch.setattr(module, "normalized_adjacency",
+        if name.partition(".")[0] == "egoinf" and hasattr(module, "degree_scale"):
+            real = module.degree_scale
+            monkeypatch.setattr(module, "degree_scale",
                                 lambda adj, real=real: normalized.append(1) or real(adj))
     built = []
     embed = features.deepwalk_embed  # called once per bundle the store builds
@@ -351,7 +353,6 @@ def test_joint_backward_peak_stays_near_what_the_forward_holds():
     cfg = TrainConfig()
     width = features.feature_width(cfg.deepwalk)
     fb = features.FeatureBundle(rng.standard_normal((n, width)), adj)
-    fb.a_hat, fb.layout, fb.recon_terms  # derived first: the peak counts only the tape
     model = JointModel.create(cfg, feature_width=width, seed=1)
     drop_rng = stream(1, "dropout", 0, sample.sample_id)
     tracemalloc.start()
@@ -364,6 +365,29 @@ def test_joint_backward_peak_stays_near_what_the_forward_holds():
     finally:
         tracemalloc.stop()
     assert peak < 1.7 * held
+
+
+def test_bundles_hold_no_square_float_array_after_training_and_predict():
+    # a joint loss and its backward, then a test-time-averaged predict,
+    # read every field of every bundle they touch: a bundle keeps its
+    # degree scale, not the n x n normalized adjacency
+    cfg = run_config_with_seed(tiny_config(), 5)
+    store = FeatureStore(5, cfg.deepwalk)
+    train, test = DATASET.split_samples("train"), DATASET.split_samples("test")
+    vgae = pretrain_augmenter(train[:4], cfg, store, 5)
+    model = JointModel.create(cfg, feature_width=features.feature_width(cfg.deepwalk), seed=5)
+    tape = Tape()
+    loss, _, _ = sample_loss(tape, model, train[0], store.bundle(train[0]), True,
+                             stream(5, "dropout", 0, train[0].sample_id))
+    tape.backward(loss)
+    predict(model, test[0], AblationConfig.from_arm(8), vgae, cfg, store)
+    bundles = list(store._cache.values())
+    assert len(bundles) == 4 + 1 + cfg.aug.count
+    for fb in bundles:
+        for value in vars(fb).values():
+            assert not (isinstance(value, np.ndarray) and value.dtype == np.float64
+                        and value.shape == (fb.n, fb.n))
+        assert "scale" in vars(fb)  # every bundle's a_hat was read
 
 
 class TestDeterminismAndIsolation:
